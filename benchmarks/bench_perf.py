@@ -4,7 +4,7 @@ Not a paper experiment -- this archives the library's own measured
 performance so regressions are visible commit to commit.  Records flow
 through the ``perf_record`` fixture into ``BENCH_perf.json`` at the
 repository root (schema ``repro-bench-perf/1``): execution backends at full
-size (interpreter vs compiled vs parallel DOALL and wavefront), cold-vs-hot
+size (interpreter vs compiled vs numpy), cold-vs-hot
 fusion memoization, the persistent store's cold/warm compile latency
 (gallery-twice acceptance row included), and the SLF worklist against the
 round-based Bellman-Ford reference.
@@ -38,9 +38,8 @@ def test_smoke_backends(report, perf_record):
         "fig2",
         n=SMOKE_N,
         m=SMOKE_M,
-        jobs=(1, 2),
         repeats=2,
-        backends=("interp", "compiled", "numpy", "parallel"),
+        backends=("interp", "compiled", "numpy"),
     )
     assert {r.backend for r in records} >= {"interp", "compiled", "numpy"}
     perf_record(records)
@@ -82,30 +81,29 @@ def test_smoke_store_gallery_warm(report, perf_record):
 def test_smoke_plan_auto_vs_static(report, perf_record):
     """Fast tier: the execution planner against the static backends.
 
-    After the static configs feed the profile tier, ``auto`` must resolve
-    to a concrete backend, stay bit-identical (bench_plan verifies before
-    timing), and not land on the measured-worst config -- timings at smoke
-    size are noisy, so the archived bar is generous (auto within 2x of
-    best-static, and clearly better than a worst-static that is ~5x off).
+    ``auto`` must resolve to a concrete backend, stay bit-identical
+    (bench_plan verifies before timing), and not land on the
+    measured-worst backend -- timings at smoke size are noisy, so the
+    archived bar is generous (auto within 2x of best-static, and clearly
+    better than a worst-static that is ~5x off).
     """
-    records = bench_plan("fig2", sizes=((SMOKE_N, SMOKE_M),), jobs=(1, 2), repeats=2)
+    records = bench_plan("fig2", sizes=((SMOKE_N, SMOKE_M),), repeats=2)
     perf_record(records)
     report.text(render_records_text(records_to_json(records)))
     auto = next(r for r in records if r.backend == "auto")
     assert auto.extra["bitIdentical"] is True
-    assert auto.extra["chosen"]["backend"] in ("interp", "compiled", "numpy", "parallel")
+    assert auto.extra["chosen"]["backend"] in ("interp", "compiled", "numpy")
     assert auto.extra["vsBestStatic"] <= 2.0
     assert auto.extra["vsWorstStatic"] <= 1.0
 
 
 @pytest.mark.perf
 def test_perf_plan_auto_tracks_best_static(report, perf_record):
-    """The acceptance row: on warm profile data the planner's pick for
-    fig2 at smoke and full size is the measured-fastest config, and the
-    planned execution's median is never worse than the worst static
-    backend (it should be within noise of the best)."""
+    """The acceptance row: the rule's pick for fig2 at smoke and full
+    size is within noise of the measured-fastest backend, and the planned
+    execution's median is never worse than the worst static backend."""
     records = bench_plan(
-        "fig2", sizes=((SMOKE_N, SMOKE_M), (FULL_N, FULL_M)), jobs=(1, 2), repeats=3
+        "fig2", sizes=((SMOKE_N, SMOKE_M), (FULL_N, FULL_M)), repeats=3
     )
     perf_record(records)
     report.text(render_records_text(records_to_json(records)))
@@ -113,10 +111,10 @@ def test_perf_plan_auto_tracks_best_static(report, perf_record):
         auto = next(r for r in records if r.backend == "auto" and r.n == n)
         chosen = auto.extra["chosen"]
         best = auto.extra["bestStatic"]
-        # the pick is profile-driven and lands on (or within noise of)
-        # the measured winner; interp is ~40-400x off at these sizes, so
-        # a wrong pick fails the ratio bars immediately
-        assert chosen["source"] in ("profile", "model")
+        # the pick lands on (or within noise of) the measured winner;
+        # interp is ~40-400x off at these sizes, so a wrong pick fails
+        # the ratio bars immediately
+        assert chosen["source"] == "rule"
         assert auto.extra["vsBestStatic"] <= 1.5
         assert auto.extra["vsWorstStatic"] <= 0.5
         assert chosen["backend"] != "interp"
@@ -132,43 +130,6 @@ def test_perf_store_cold_vs_warm(report, perf_record):
     warm = next(r for r in records if r.backend == "store-warm")
     # every warm run must actually come off the disk tier
     assert warm.extra["store"]["hitRatio"] >= 0.90
-
-
-@pytest.mark.perf
-def test_perf_doall_backends(report, perf_record):
-    """DOALL example (fig2) at full size across every backend."""
-    records = bench_backends(
-        "fig2",
-        n=FULL_N,
-        m=FULL_M,
-        jobs=(1, 2, 4),
-        backends=("interp", "compiled", "numpy", "parallel"),
-    )
-    perf_record(records)
-    doc = records_to_json(records)
-    report.text(render_records_text(doc))
-    interp = next(r for r in records if r.backend == "interp")
-    for r in records:
-        if r.jobs == 4 and r.backend.startswith("parallel"):
-            # the headline acceptance bar: parallel DOALL at jobs=4 beats the
-            # serial interpreter by >= 2x (bit-identity is verified by
-            # bench_backends before timing)
-            assert interp.median_s / r.median_s >= 2.0
-    assert interp.median_s > 0
-
-
-@pytest.mark.perf
-def test_perf_wavefront_backend(report, perf_record):
-    """Hyperplane example (anisotropic-sweep) with the tiled wavefront."""
-    records = bench_backends(
-        "anisotropic-sweep",
-        n=96,
-        m=96,
-        jobs=(1, 2, 4),
-        backends=("interp", "parallel"),
-    )
-    perf_record(records)
-    report.text(render_records_text(records_to_json(records)))
 
 
 @pytest.mark.perf

@@ -6,7 +6,7 @@ Main subcommands::
     repro-fuse lint     program.loop   # static diagnostics (text/json/sarif)
     repro-fuse fuse     program.loop   # retime + fuse + emit code
     repro-fuse run      program.loop   # hardened pipeline (budgets, --resilient,
-                                       # --backend interp|compiled|numpy|parallel)
+                                       # --backend interp|compiled|numpy|auto)
     repro-fuse batch    a.loop b.loop  # compile many programs concurrently
                                        # (one Session, --jobs workers,
                                        # --timeout-ms, --batch-pool process)
@@ -50,6 +50,7 @@ builds).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -95,23 +96,6 @@ def _positive_int(text: str) -> int:
             f"expected a positive integer >= 1, got {value}"
         )
     return value
-
-
-def _jobs_list(text: str) -> Tuple[int, ...]:
-    """Argparse type for comma-separated job counts (each >= 1)."""
-    try:
-        values = tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one job count")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"job counts must be >= 1, got {list(values)}"
-        )
-    return values
 
 
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
@@ -257,19 +241,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-emit", action="store_true", help="skip code emission")
     p_run.add_argument(
         "--backend",
-        choices=["interp", "compiled", "numpy", "parallel", "auto"],
+        choices=["interp", "compiled", "numpy", "auto", "parallel"],
         default=None,
         help="also execute the fused program with this backend "
-        "(compiled/numpy/parallel results are verified bit-identical against "
-        "the interpreter; auto = execution planner picks per shape, "
-        "docs/PLANNING.md; not available with --resilient)",
-    )
-    p_run.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="worker count for --backend parallel (default: cpu count)",
+        "(compiled/numpy results are verified bit-identical against "
+        "the interpreter; auto = the execution planner's stage-mix rule "
+        "picks, docs/PLANNING.md; parallel is a deprecated name for auto; "
+        "not available with --resilient)",
     )
     p_run.add_argument(
         "--size",
@@ -350,7 +328,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_sv.add_argument("--workers", type=_positive_int, default=2, metavar="N",
                       help="pool worker processes (default 2)")
     p_sv.add_argument("--backend",
-                      choices=["interp", "compiled", "numpy", "parallel", "auto"],
+                      choices=["interp", "compiled", "numpy", "auto", "parallel"],
                       default="interp",
                       help="default execution backend stamped onto requests "
                       "that carry none (auto = execution planner resolves "
@@ -432,17 +410,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "measures the interp/compiled/numpy crossover",
     )
     p_bench.add_argument(
-        "--jobs", metavar="J1,J2,...", default="1,2,4", type=_jobs_list,
-        help="comma-separated job counts for the parallel backend (default 1,2,4)",
-    )
-    p_bench.add_argument(
-        "--backends", metavar="B1,B2,...", default="interp,compiled,numpy,parallel",
-        help="comma-separated backends to time "
-        "(default interp,compiled,numpy,parallel)",
-    )
-    p_bench.add_argument(
-        "--pool", choices=["thread", "process"], default="thread",
-        help="parallel-backend pool kind (default thread)",
+        "--backends", metavar="B1,B2,...", default="interp,compiled,numpy",
+        help="comma-separated backends to time (default interp,compiled,numpy)",
     )
     p_bench.add_argument(
         "--repeats", type=int, default=3, metavar="N",
@@ -739,77 +708,54 @@ def _execute_backend(out, args: argparse.Namespace) -> dict:
     import time as _time
 
     from repro.codegen.interp import ArrayStore, run_fused
-    from repro.core.backends import execute_fused
+    from repro.core.backends import DEPRECATED_BACKENDS, execute_fused
 
     n, m = _parse_size(args.size)
     fp = out.fused
     if fp is None:
         raise FusionError("nothing to execute: the pipeline emitted no fused program")
     base = ArrayStore.for_program(out.nest, n, m, seed=0)
-    record: dict = {"backend": args.backend, "n": n, "m": m}
+    backend = args.backend
+    if backend in DEPRECATED_BACKENDS:
+        backend = DEPRECATED_BACKENDS[backend]
+        print(
+            f"note: backend {args.backend!r} was removed; running as {backend!r}",
+            file=sys.stderr,
+        )
+    record: dict = {"backend": backend, "n": n, "m": m}
     is_doall = out.fusion.is_doall
     schedule = out.fusion.schedule
 
-    if args.backend == "interp":
+    if backend == "interp":
         t0 = _time.perf_counter()
         execute_fused("interp", fp, n, m, store=base.copy())
         record["seconds"] = round(_time.perf_counter() - t0, 6)
         return record
 
     reference = run_fused(fp, n, m, store=base.copy(), mode="serial")
-    got = base.copy()
-    if args.backend == "auto":
-        from repro.plan import Planner
+    if backend == "auto":
+        from repro.plan import default_planner
 
-        planner = Planner()
-        plan = planner.plan_execution(
-            fp, n, m, schedule=schedule, is_doall=is_doall,
-            requested="auto", jobs=args.jobs,
+        plan = default_planner().plan_execution(
+            fp, n, m, schedule=schedule, is_doall=is_doall, requested="auto",
         )
-        record["resolved"] = plan.backend
-        record["jobs"] = plan.jobs
+        record["resolved"] = backend = plan.backend
         record["plan"] = plan.to_dict()
-        if plan.backend in ("compiled", "numpy"):
-            # compile outside the timed region, as for the static backends
-            execute_fused(plan.backend, fp, 1, 1,
-                          store=ArrayStore.for_program(out.nest, 1, 1, seed=0),
-                          schedule=schedule, is_doall=is_doall)
-        t0 = _time.perf_counter()
-        execute_fused(plan.backend, fp, n, m, store=got,
-                      schedule=schedule, is_doall=is_doall,
-                      jobs=plan.jobs, tile=plan.tile)
-        elapsed = _time.perf_counter() - t0
-        record["seconds"] = round(elapsed, 6)
-        planner.record(plan, elapsed)
-    elif args.backend in ("compiled", "numpy"):
-        # compile outside the timed region: the kernel is what recurs
-        execute_fused(args.backend, fp, 1, 1,
-                      store=ArrayStore.for_program(out.nest, 1, 1, seed=0),
-                      schedule=schedule, is_doall=is_doall)
-        t0 = _time.perf_counter()
-        execute_fused(args.backend, fp, n, m, store=got,
-                      schedule=schedule, is_doall=is_doall)
-        record["seconds"] = round(_time.perf_counter() - t0, 6)
-        if args.backend == "numpy":
-            from repro.codegen.nplower import compile_numpy
+    elif backend == "numpy":
+        from repro.codegen.nplower import compile_numpy
 
-            record["plan"] = compile_numpy(fp, schedule=schedule).plan
-    else:  # parallel
-        from repro.perf.parallel import ParallelExecutor
-
-        with ParallelExecutor(args.jobs) as ex:
-            t0 = _time.perf_counter()
-            ex.run(
-                fp, n, m, store=got,
-                mode="doall" if is_doall else "hyperplane",
-                schedule=None if is_doall else schedule,
-            )
-            record["seconds"] = round(_time.perf_counter() - t0, 6)
-        record["jobs"] = ex.jobs
-        record["mode"] = "doall" if is_doall else "hyperplane"
+        record["plan"] = compile_numpy(fp, schedule=schedule).plan
+    # compile outside the timed region: the kernel is what recurs
+    execute_fused(backend, fp, 1, 1,
+                  store=ArrayStore.for_program(out.nest, 1, 1, seed=0),
+                  schedule=schedule, is_doall=is_doall)
+    got = base.copy()
+    t0 = _time.perf_counter()
+    execute_fused(backend, fp, n, m, store=got, schedule=schedule, is_doall=is_doall)
+    record["seconds"] = round(_time.perf_counter() - t0, 6)
     if not reference.equal(got):  # pragma: no cover - correctness guard
         raise FusionError(
-            f"{args.backend} backend diverged from the interpreter at {n}x{m}"
+            f"{backend} backend diverged from the interpreter at {n}x{m}"
         )
     record["verified"] = "bit-identical to interpreter"
     return record
@@ -876,8 +822,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             parts = [f"backend={execution['backend']}"]
             if "resolved" in execution:
                 parts.append(f"resolved={execution['resolved']}")
-            if "jobs" in execution:
-                parts.append(f"jobs={execution['jobs']}")
             parts.append(f"size={execution['n']}x{execution['m']}")
             parts.append(f"wall={execution['seconds'] * 1e3:.2f} ms")
             if "verified" in execution:
@@ -904,7 +848,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json as _json
-    import os
 
     from repro.core.session import Session, SessionOptions
     from repro.resilience.budget import Budget
@@ -1021,7 +964,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     try:
         n, m = _parse_size(args.size)
-        jobs = args.jobs  # already a tuple via the _jobs_list argparse type
         sizes = parse_sizes(args.sizes) if args.sizes else None
     except ValueError as exc:
         print(
@@ -1037,9 +979,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             n=n,
             m=m,
             sizes=sizes,
-            jobs=jobs,
             backends=backends,
-            pool=args.pool,
             repeats=args.repeats,
             include_cache=not args.no_cache_bench,
             include_solver=not args.no_solver_bench,
@@ -1126,7 +1066,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     import json as _json
-    import os
 
     from repro.store import open_store
 
@@ -1158,8 +1097,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"(hit ratio {stats.hit_ratio:.2f})"
             )
             print(f"file    : {stats.stored_hits} stored hit(s) all-time")
-            print(f"profiles: {stats.profile_rows} execution-profile row(s) "
-                  "(planner tier; docs/PLANNING.md)")
             if stats.disabled:
                 print("state   : DISABLED (unreadable or newer schema)")
         return ExitCode.FAILURE if stats.disabled else ExitCode.OK
@@ -1230,10 +1167,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     # --store makes the persistent cache ambient for the invocation (and,
     # via REPRO_FUSE_STORE, for any worker process it spawns); serve and
     # loadgen additionally thread it through their explicit configs, and
-    # `cache` addresses the file directly
-    if getattr(args, "store", None) and args.command != "cache":
-        from repro.store import set_default_store_path
+    # `cache` addresses the file directly.  The previous value comes back
+    # on the way out, so an in-process caller sees no lasting change.
+    from repro.store import set_default_store_path
 
+    scoped_store = bool(getattr(args, "store", None)) and args.command != "cache"
+    previous_store = os.environ.get("REPRO_FUSE_STORE")
+    if scoped_store:
         set_default_store_path(args.store)
     try:
         if args.command == "analyze":
@@ -1271,6 +1211,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     except (ParseError, ValidationError, FusionError, _BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.FAILURE
+    finally:
+        if scoped_store:
+            if previous_store is None:
+                os.environ.pop("REPRO_FUSE_STORE", None)
+            else:
+                os.environ["REPRO_FUSE_STORE"] = previous_store
     return ExitCode.USAGE
 
 

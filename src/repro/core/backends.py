@@ -1,8 +1,8 @@
 """The execution-backend registry.
 
-Four interchangeable executors can run a fused program; this module gives
-them one name table and one calling convention so every selection site --
-``repro-fuse run --backend``, ``repro-fuse bench --backends``,
+Three interchangeable executors can run a fused program; this module
+gives them one name table and one calling convention so every selection
+site -- ``repro-fuse run --backend``, ``repro-fuse bench --backends``,
 ``SessionOptions.backend`` (and through it the serve workers and
 ``fuse_many``) -- resolves backends the same way:
 
@@ -13,9 +13,11 @@ them one name table and one calling convention so every selection site --
              (:func:`repro.codegen.pycompile.compile_fused`)
 ``numpy``    staged whole-array lowering
              (:func:`repro.codegen.nplower.compile_numpy`)
-``parallel`` chunked thread/process execution
-             (:class:`repro.perf.parallel.ParallelExecutor`)
 ========== =========================================================
+
+``"auto"`` lets the execution planner (:mod:`repro.plan`) pick one of
+them.  The removed ``parallel`` backend's name is still accepted and
+resolves like ``"auto"`` with a :class:`DeprecationWarning`.
 
 Every runner takes the same arguments and mutates/returns the given
 :class:`~repro.codegen.interp.ArrayStore`; all are bit-identical to
@@ -24,6 +26,7 @@ Every runner takes the same arguments and mutates/returns the given
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
@@ -37,11 +40,12 @@ __all__ = [
     "register",
     "get",
     "backend_names",
+    "canonical_backend",
     "execute_fused",
+    "selectable_backends",
 ]
 
-#: Runner signature:
-#: ``(fp, n, m, store, schedule, is_doall, jobs, tile) -> store``.
+#: Runner signature: ``(fp, n, m, store, schedule, is_doall) -> store``.
 Runner = Callable[..., "ArrayStore"]
 
 
@@ -78,6 +82,32 @@ def backend_names() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+#: Names of removed backends, accepted for compatibility, and what they
+#: resolve to.
+DEPRECATED_BACKENDS = {"parallel": "auto"}
+
+
+def selectable_backends() -> Tuple[str, ...]:
+    """Every name a caller may select: the registry, ``"auto"`` and the
+    deprecated names."""
+    return backend_names() + ("auto",) + tuple(DEPRECATED_BACKENDS)
+
+
+def canonical_backend(name: str) -> str:
+    """``name``, or its replacement when it names a removed backend (with
+    a :class:`DeprecationWarning`)."""
+    if name not in DEPRECATED_BACKENDS:
+        return name
+    replacement = DEPRECATED_BACKENDS[name]
+    warnings.warn(
+        f"the {name!r} execution backend was removed; it resolves like "
+        f"{replacement!r}",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+    return replacement
+
+
 def execute_fused(
     name: str,
     fp: "FusedProgram",
@@ -93,25 +123,23 @@ def execute_fused(
     """Run ``fp`` over ``store`` (mutated in place) with the named backend.
 
     ``schedule``/``is_doall`` come from the fusion result (the hyperplane
-    vector when the fusion is not DOALL); ``jobs``/``tile`` only matter to
-    the ``parallel`` backend.  ``name="auto"`` resolves through the
-    execution planner (:mod:`repro.plan`): profile rows for this program
-    and size when warm, the static cost model when cold.  Whatever is
-    chosen is bit-identical to ``interp`` -- the planner picks *how* to
-    run, never *what* is computed.
+    vector when the fusion is not DOALL).  ``name="auto"`` resolves
+    through the execution planner (:mod:`repro.plan`); whatever it picks
+    is bit-identical to ``interp``.  ``jobs`` and ``tile`` are accepted
+    for older callers and ignored.
     """
+    name = canonical_backend(name)
     if name == "auto":
         from repro.plan import default_planner
 
-        plan = default_planner().plan_execution(
-            fp, n, m, schedule=schedule, is_doall=is_doall, jobs=jobs,
-        )
-        name, jobs, tile = plan.backend, plan.jobs, plan.tile
-    return get(name).runner(fp, n, m, store, schedule, is_doall, jobs, tile)
+        name = default_planner().plan_execution(
+            fp, n, m, schedule=schedule, is_doall=is_doall,
+        ).backend
+    return get(name).runner(fp, n, m, store, schedule, is_doall)
 
 
 # ------------------------------------------------------------------ #
-# the built-in four
+# the built-in three
 # ------------------------------------------------------------------ #
 
 
@@ -122,8 +150,6 @@ def _run_interp(
     store: ArrayStore,
     schedule: Optional[IVec],
     is_doall: bool,
-    jobs: Optional[int],
-    tile: Optional[int] = None,
 ) -> ArrayStore:
     from repro.codegen.interp import run_fused
 
@@ -137,8 +163,6 @@ def _run_compiled(
     store: ArrayStore,
     schedule: Optional[IVec],
     is_doall: bool,
-    jobs: Optional[int],
-    tile: Optional[int] = None,
 ) -> ArrayStore:
     from repro.codegen.pycompile import compile_fused
 
@@ -153,33 +177,11 @@ def _run_numpy(
     store: ArrayStore,
     schedule: Optional[IVec],
     is_doall: bool,
-    jobs: Optional[int],
-    tile: Optional[int] = None,
 ) -> ArrayStore:
     from repro.codegen.nplower import compile_numpy
 
     compile_numpy(fp, schedule=schedule)(store, n, m)
     return store
-
-
-def _run_parallel(
-    fp: FusedProgram,
-    n: int,
-    m: int,
-    store: ArrayStore,
-    schedule: Optional[IVec],
-    is_doall: bool,
-    jobs: Optional[int],
-    tile: Optional[int] = None,
-) -> ArrayStore:
-    from repro.perf.parallel import ParallelExecutor
-
-    mode = "doall" if is_doall else "hyperplane"
-    with ParallelExecutor(jobs, **({} if tile is None else {"tile": tile})) as ex:
-        return ex.run(
-            fp, n, m, store=store, mode=mode,
-            schedule=None if is_doall else schedule,
-        )
 
 
 register(ExecutionBackend(
@@ -190,7 +192,4 @@ register(ExecutionBackend(
 ))
 register(ExecutionBackend(
     "numpy", "staged whole-array numpy lowering", _run_numpy,
-))
-register(ExecutionBackend(
-    "parallel", "chunked thread/process pool execution", _run_parallel,
 ))

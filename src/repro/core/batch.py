@@ -44,9 +44,18 @@ from repro.loopir import LoopNest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.session import Session
 
-__all__ = ["BATCH_POOLS", "BATCH_SCHEMA", "BatchEntry", "BatchReport", "run_batch"]
+__all__ = [
+    "BATCH_POOLS",
+    "BATCH_SCHEMA",
+    "DEFAULT_BATCH_JOBS",
+    "BatchEntry",
+    "BatchReport",
+    "run_batch",
+]
 
 BATCH_POOLS = ("thread", "process")
+#: Worker count when neither the call nor the session picked one.
+DEFAULT_BATCH_JOBS = 4
 
 BATCH_SCHEMA = "repro-batch/1"
 
@@ -340,9 +349,6 @@ def run_batch(
         raise ValueError(f"unknown pool {pool!r}; expected one of {BATCH_POOLS}")
     items = _normalize(programs, names)
     if jobs is None:
-        # the old hard-coded default lives in the planning layer now
-        from repro.plan.model import DEFAULT_BATCH_JOBS
-
         jobs = DEFAULT_BATCH_JOBS
     jobs = max(1, int(jobs))
     reg_scope = (

@@ -93,15 +93,12 @@ class SessionOptions:
     #: Degradation-ladder variant: a :data:`LADDER_VARIANTS` name, an
     #: explicit tuple of rung labels, or ``None`` for the built-in descent.
     ladder: Optional[Union[str, Sequence[str]]] = None
-    #: Default worker count for :meth:`Session.fuse_many` and for the
-    #: ``parallel`` execution backend.  ``None`` delegates the choice to
-    #: the execution planner (:mod:`repro.plan`): batch compilation takes
-    #: :data:`repro.plan.model.DEFAULT_BATCH_JOBS`, kernel execution the
-    #: planner's per-shape pick.
+    #: Default worker count for :meth:`Session.fuse_many` (``None``:
+    #: :data:`repro.core.batch.DEFAULT_BATCH_JOBS`).
     jobs: Optional[int] = None
     #: Execution backend for :meth:`Session.execute_fused`
-    #: (:mod:`repro.core.backends`: interp / compiled / numpy / parallel,
-    #: or ``"auto"`` to let the planner decide per shape; docs/PLANNING.md).
+    #: (:mod:`repro.core.backends`: interp / compiled / numpy, or
+    #: ``"auto"`` to let the planner decide per program; docs/PLANNING.md).
     backend: str = "interp"
     #: Run the certificate-carrying MLDG edge-pruning pass
     #: (:mod:`repro.analysis.prune`).  Off: the pipeline compiles the
@@ -203,7 +200,6 @@ class Session:
         self._lock = threading.Lock()
         self._strict = PassManager(strict_passes(), name="strict")
         self._resilient = PassManager(resilient_passes(), name="resilient")
-        self._planner: Optional[Any] = None
 
     @classmethod
     def isolated(
@@ -257,17 +253,10 @@ class Session:
 
     @property
     def planner(self) -> Any:
-        """This session's execution planner (:class:`repro.plan.Planner`).
+        """The execution planner (:class:`repro.plan.Planner`)."""
+        from repro.plan import default_planner
 
-        Bound to the session's L2 store when it has one; otherwise the
-        planner resolves the ambient store (or the in-process profile
-        table) at decision time.
-        """
-        if self._planner is None:
-            from repro.plan import Planner
-
-            self._planner = Planner(store=self.caches.store)
-        return self._planner
+        return default_planner()
 
     @property
     def pass_names(self) -> Tuple[str, ...]:
@@ -443,22 +432,16 @@ class Session:
         backend: Optional[str] = None,
         schedule: Optional[Any] = None,
         is_doall: bool = True,
-        jobs: Optional[int] = None,
     ) -> Any:
         """Run a fused program through the session's execution backend.
 
-        Every execution is resolved by the planner (:mod:`repro.plan`)
-        under the precedence *explicit > session > profile > model*: an
-        explicit ``backend`` argument wins, else the session's configured
-        backend, and ``"auto"`` lets the planner pick from profile rows
-        or the cost model.  Dispatch happens under this session's
-        activation (backend kernels hit the session's kernel cache and
-        metrics registry), and the observed wall time is fed back into
-        the profile tier -- gated exactly like the memo caches, so probe
-        budgets, fault injection and ``REPRO_FUSE_MEMO=0`` record nothing.
+        The planner (:mod:`repro.plan`) resolves the backend under the
+        precedence *explicit > session > rule*: an explicit ``backend``
+        argument wins, else the session's configured backend, and
+        ``"auto"`` applies the stage-mix rule.  Dispatch happens under
+        this session's activation, so backend kernels hit the session's
+        kernel cache and metrics registry.
         """
-        import time as _time
-
         from repro.core.backends import execute_fused as _execute
 
         with self.activate():
@@ -466,18 +449,11 @@ class Session:
                 fp, n, m,
                 schedule=schedule, is_doall=is_doall,
                 requested=backend, session_backend=self.options.backend,
-                jobs=jobs if jobs is not None else self.options.jobs,
             )
-            t0 = _time.perf_counter()
-            result = _execute(
+            return _execute(
                 plan.backend, fp, n, m,
                 store=store, schedule=schedule, is_doall=is_doall,
-                jobs=plan.jobs, tile=plan.tile,
             )
-            self.planner.record(
-                plan, _time.perf_counter() - t0, budget=self.effective_budget
-            )
-            return result
 
     # ------------------------------------------------------------------ #
 

@@ -18,9 +18,10 @@ The instrumented layers: ``fuse()``/``fuse_program()`` strategy selection,
 every resilience ladder rung (``resilience.rung.*`` spans + ``RS###``
 diagnostic counters), both Bellman-Ford solvers (relaxation rounds and
 worklist pops as counters), the fusion/retiming/kernel memo caches
-(hit/miss counters at the call sites), and all three execution backends
-(per-run spans; per-chunk and per-tile ``detail`` spans under the
-parallel backend).
+(hit/miss counters at the call sites), the execution planner
+(``plan.select`` spans and ``plan.*`` counters) and the execution
+backends (per-run spans; per-wavefront ``detail`` spans in numpy
+kernels).
 """
 
 from repro.obs.bridge import (

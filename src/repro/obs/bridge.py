@@ -69,7 +69,7 @@ def stats_document(registry: Optional[MetricsRegistry] = None) -> Dict[str, Any]
         "schema": STATS_SCHEMA,
         "metrics": reg.to_dict(),
         "caches": cache_snapshot(),
-        "plan": plan_snapshot(),
+        "plan": plan_snapshot(reg),
     }
 
 
@@ -98,13 +98,5 @@ def render_stats_text(doc: Dict[str, Any]) -> str:
             lines.append(
                 f"cache {name}: {info['hits']} hits / {info['misses']} misses "
                 f"/ {info['evictions']} evictions (size {info['currsize']})"
-            )
-    recent = (doc.get("plan") or {}).get("recent") or []
-    if recent:
-        lines.append("")
-        for p in recent:
-            lines.append(
-                f"plan {p['backend']}/j{p['jobs']} [{p['source']}] "
-                f"{p.get('bucket') or '?'}: {p['rationale']}"
             )
     return "\n".join(lines)

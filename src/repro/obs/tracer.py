@@ -21,8 +21,8 @@ Span trees are deterministic by construction for a fixed workload: span
 names, nesting and counts depend only on the work performed, never on
 thread interleaving (span *ordering* in the flat list may vary, which is
 why comparisons go through :func:`tree_shape`, a canonical sorted form).
-Spans whose *multiplicity* legitimately varies with the worker count
-(per-chunk / per-tile execution detail) are flagged ``detail=True`` and
+Spans whose *multiplicity* legitimately varies with the problem size
+(per-wavefront execution detail) are flagged ``detail=True`` and
 excluded from the default shape.
 """
 
@@ -69,9 +69,9 @@ def _thread_cpu() -> float:
 class Span:
     """One timed, attributed region of work.
 
-    ``detail`` marks execution-detail spans (per-chunk, per-tile) whose
-    count legitimately depends on the worker configuration; they are
-    excluded from the deterministic tree skeleton (:func:`tree_shape`).
+    ``detail`` marks execution-detail spans (per-wavefront) whose count
+    legitimately depends on the problem size; they are excluded from the
+    deterministic tree skeleton (:func:`tree_shape`).
     """
 
     name: str
@@ -324,9 +324,9 @@ def tree_shape(
     Timestamps, attributes and sibling *ordering* are excluded (children
     are sorted), so two runs of the same workload compare equal regardless
     of thread interleaving.  ``detail`` spans -- whose multiplicity depends
-    on the worker configuration -- are excluded unless ``include_detail``;
-    with them included the shape additionally pins the exact chunk/tile
-    fan-out of one configuration.
+    on the problem size -- are excluded unless ``include_detail``; with
+    them included the shape additionally pins the exact wavefront count
+    of one size.
     """
     span_list = spans.spans() if isinstance(spans, (Tracer, NoopTracer)) else list(spans)
     kept = [s for s in span_list if include_detail or not s.detail]

@@ -1,11 +1,7 @@
-"""The performance layer: parallel backends, memo caches, bench harness.
+"""The performance layer: memo caches and the bench harness.
 
-Three pillars (see ``docs/PERFORMANCE.md``):
+Two pillars (see ``docs/PERFORMANCE.md``):
 
-* :mod:`repro.perf.parallel` -- a :class:`ParallelExecutor` that actually
-  runs the parallelism the paper's schedules expose (DOALL rows chunked
-  over a thread/process pool, hyperplane wavefronts tiled), bit-identical
-  to the serial interpreter;
 * :mod:`repro.perf.memo` -- canonical structural hashing of MLDGs feeding
   LRU caches so repeated and isomorphic ``fuse()`` queries are O(1);
 * :mod:`repro.perf.bench` -- the measured-perf harness behind
@@ -13,7 +9,7 @@ Three pillars (see ``docs/PERFORMANCE.md``):
 
 Submodules are loaded lazily so that low-level packages (e.g. the fusion
 driver, which consumes :mod:`repro.perf.memo`) can import this package
-without dragging in the execution backends.
+without dragging in the bench harness.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 __all__ = [
-    "ParallelExecutor",
-    "run_parallel",
     "MemoCache",
     "CacheInfo",
     "canonical_mldg_key",
@@ -35,8 +29,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "ParallelExecutor": "repro.perf.parallel",
-    "run_parallel": "repro.perf.parallel",
     "MemoCache": "repro.perf.memo",
     "CacheInfo": "repro.perf.memo",
     "canonical_mldg_key": "repro.perf.memo",
@@ -59,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         retiming_cache,
         structural_hash,
     )
-    from repro.perf.parallel import ParallelExecutor, run_parallel  # noqa: F401
 
 
 def __getattr__(name: str):

@@ -1,15 +1,14 @@
 """The performance-trajectory harness.
 
-Times the execution backends (tree-walking interpreter, compiled
-numpy kernels, parallel DOALL/wavefront), the fusion memo cache, and the
+Times the execution backends (tree-walking interpreter, compiled row
+kernels, staged numpy lowering), the fusion memo cache, and the
 constraint solvers on gallery workloads, and renders the measurements as
 machine-readable records -- the same shape ``BENCH_perf.json`` archives and
 ``repro-fuse bench --format json`` prints.
 
 Every record carries the benchmark name, backend, iteration-space size,
 median wall-clock seconds over ``repeats`` runs with a spread estimate
-(half the min-max range), and any backend-specific extras (job count,
-cache statistics, speedup vs the serial interpreter).  Medians rather than
+(half the min-max range), and any backend-specific extras (cache statistics, speedup vs the serial interpreter).  Medians rather than
 means keep one preempted run from skewing a record.
 """
 
@@ -51,7 +50,6 @@ class BenchRecord:
     repeats: int
     n: Optional[int] = None
     m: Optional[int] = None
-    jobs: Optional[int] = None
     speedup_vs_interp: Optional[float] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
@@ -67,8 +65,6 @@ class BenchRecord:
             out["n"] = self.n
         if self.m is not None:
             out["m"] = self.m
-        if self.jobs is not None:
-            out["jobs"] = self.jobs
         if self.speedup_vs_interp is not None:
             out["speedupVsInterp"] = round(self.speedup_vs_interp, 3)
         if self.extra:
@@ -151,9 +147,7 @@ def bench_backends(
     *,
     n: int = 256,
     m: int = 256,
-    jobs: Sequence[int] = (1, 2, 4),
-    backends: Sequence[str] = ("interp", "compiled", "parallel"),
-    pool: str = "thread",
+    backends: Sequence[str] = ("interp", "compiled", "numpy"),
     repeats: int = 3,
     verify: bool = True,
 ) -> List[BenchRecord]:
@@ -178,16 +172,12 @@ def bench_backends(
     from repro.depend import extract_mldg
     from repro.fusion import fuse
     from repro.loopir import parse_program
-    from repro.perf.parallel import ParallelExecutor
 
     nest = parse_program(_example_source(example))
     g = extract_mldg(nest)
     result = fuse(g)
     fp = apply_fusion(nest, result.retiming, mldg=g)
     base = ArrayStore.for_program(nest, n, m, seed=0)
-    is_doall = result.is_doall
-    mode = "doall" if is_doall else "hyperplane"
-    schedule = None if is_doall else result.schedule
 
     reference = run_fused(fp, n, m, store=base.copy(), mode="serial")
     records: List[BenchRecord] = []
@@ -268,30 +258,6 @@ def bench_backends(
             )
         )
 
-    if "parallel" in backends:
-        for j in jobs:
-            with ParallelExecutor(j, pool=pool) as ex:
-                if verify:
-                    got = ex.run(fp, n, m, store=base.copy(), mode=mode, schedule=schedule)
-                    if not reference.equal(got):  # pragma: no cover - correctness guard
-                        raise AssertionError(
-                            f"parallel backend (jobs={j}) diverged from the interpreter"
-                        )
-                work = base.copy()
-                median, err = time_callable(
-                    lambda: ex.run(
-                        fp, n, m, store=work, mode=mode, schedule=schedule
-                    ),
-                    repeats=repeats,
-                )
-            records.append(
-                BenchRecord(
-                    name=f"{example}-fused", backend=f"parallel-{pool}",
-                    median_s=median, err_s=err, repeats=repeats, n=n, m=m, jobs=j,
-                    speedup_vs_interp=(interp_median / median) if interp_median else None,
-                    extra={"mode": mode},
-                )
-            )
     return records
 
 
@@ -318,9 +284,7 @@ def bench_backend_sweep(
     example: str = "fig2",
     *,
     sizes: Sequence[Tuple[int, int]],
-    jobs: Sequence[int] = (1, 2, 4),
     backends: Sequence[str] = ("interp", "compiled", "numpy"),
-    pool: str = "thread",
     repeats: int = 3,
     verify: bool = True,
 ) -> List[BenchRecord]:
@@ -333,8 +297,7 @@ def bench_backend_sweep(
     records: List[BenchRecord] = []
     for n, m in sizes:
         records += bench_backends(
-            example, n=n, m=m, jobs=jobs, backends=backends,
-            pool=pool, repeats=repeats, verify=verify,
+            example, n=n, m=m, backends=backends, repeats=repeats, verify=verify,
         )
     return records
 
@@ -608,123 +571,84 @@ def bench_plan(
     example: str = "fig2",
     *,
     sizes: Sequence[Tuple[int, int]] = ((24, 24),),
-    jobs: Sequence[int] = (1, 2),
     repeats: int = 3,
-    store_path: Optional[str] = None,
 ) -> List[BenchRecord]:
     """Planner-driven ``auto`` execution against every static backend.
 
-    Per size: every static config runs through ``Session.execute_fused``
-    first -- each run feeding the planner's profile tier in a private
-    store -- then ``auto`` runs on the now-warm profile.  The ``auto``
-    record archives the planner's pick (backend/jobs/source/rationale)
-    and its median against the best and worst static config, so
-    ``BENCH_perf.json`` shows whether the planner lands on the measured
-    winner (``vsBestStatic`` ~ 1.0) and stays off the loser
-    (``vsWorstStatic`` well under 1.0 wherever the spread is real).
+    Per size, every static backend and then ``auto`` run through
+    ``Session.execute_fused``.  The ``auto`` record archives the rule's
+    pick (backend/source/rationale) and its median against the best and
+    worst static backend, so ``BENCH_perf.json`` shows whether the rule
+    lands on the measured winner (``vsBestStatic`` ~ 1.0) and stays off
+    the loser (``vsWorstStatic`` well under 1.0 wherever the spread is
+    real).
     """
-    import os
-    import shutil
-    import tempfile
-
     from repro.codegen import ArrayStore
     from repro.core.session import Session, SessionCaches, SessionOptions
 
-    tmpdir: Optional[str] = None
-    if store_path is None:
-        tmpdir = tempfile.mkdtemp(prefix="repro-bench-plan-")
-        store_path = os.path.join(tmpdir, "plan-store.db")
-    records: List[BenchRecord] = []
-    try:
-        session = Session(
-            options=SessionOptions(backend="auto", store_path=store_path),
-            caches=SessionCaches.private(),
+    session = Session(
+        options=SessionOptions(backend="auto"), caches=SessionCaches.private()
+    )
+    out = session.fuse_program(_example_source(example))
+    fp = out.fused
+    if fp is None:
+        raise ValueError(f"example {example!r} emitted no fused program")
+    schedule = out.fusion.schedule
+    is_doall = out.fusion.is_doall
+
+    def run(_n: int, _m: int, backend: Optional[str], store: Any) -> Any:
+        return session.execute_fused(
+            fp, _n, _m, store=store, backend=backend,
+            schedule=schedule, is_doall=is_doall,
         )
-        out = session.fuse_program(_example_source(example))
-        fp = out.fused
-        if fp is None:
-            raise ValueError(f"example {example!r} emitted no fused program")
-        schedule = out.fusion.schedule
-        is_doall = out.fusion.is_doall
-        static: List[Tuple[str, Optional[int]]] = [
-            ("interp", None), ("compiled", None), ("numpy", None),
-        ] + [("parallel", j) for j in jobs]
 
-        def run(
-            _n: int, _m: int, backend: Optional[str], j: Optional[int], store: Any
-        ) -> Any:
-            return session.execute_fused(
-                fp, _n, _m, store=store, backend=backend,
-                schedule=schedule, is_doall=is_doall, jobs=j,
+    records: List[BenchRecord] = []
+    for _n, _m in sizes:
+        base = ArrayStore.for_program(out.nest, _n, _m, seed=0)
+        reference = run(_n, _m, "interp", base.copy())
+        timings: Dict[str, float] = {}
+        for backend in ("interp", "compiled", "numpy"):
+            median, err = time_callable(
+                lambda: run(_n, _m, backend, base.copy()), repeats=repeats
             )
-
-        for _n, _m in sizes:
-            base = ArrayStore.for_program(out.nest, _n, _m, seed=0)
-            reference = session.execute_fused(
-                fp, _n, _m, store=base.copy(), backend="interp",
-                schedule=schedule, is_doall=is_doall,
-            )
-            timings: Dict[Tuple[str, int], float] = {}
-            for backend, j in static:
-                median, err = time_callable(
-                    lambda: run(_n, _m, backend, j, base.copy()), repeats=repeats
-                )
-                timings[(backend, j if j is not None else 1)] = median
-                records.append(
-                    BenchRecord(
-                        name=f"{example}-plan", backend=backend,
-                        median_s=median, err_s=err, repeats=repeats,
-                        n=_n, m=_m, jobs=j,
-                    )
-                )
-            # the decision auto will make on the warm profile (pure
-            # function of the rows; re-deriving it here costs nothing)
-            plan = session.planner.plan_execution(
-                fp, _n, _m, schedule=schedule, is_doall=is_doall,
-                session_backend="auto",
-            )
-            got = run(_n, _m, None, None, base.copy())
-            if not reference.equal(got):  # pragma: no cover - correctness guard
-                raise AssertionError(
-                    f"auto backend diverged from the interpreter at {_n}x{_m}"
-                )
-            auto_median, auto_err = time_callable(
-                lambda: run(_n, _m, None, None, base.copy()), repeats=repeats
-            )
-            best_key = min(timings, key=lambda k: timings[k])
-            worst_key = max(timings, key=lambda k: timings[k])
+            timings[backend] = median
             records.append(
                 BenchRecord(
-                    name=f"{example}-plan", backend="auto",
-                    median_s=auto_median, err_s=auto_err, repeats=repeats,
-                    n=_n, m=_m,
-                    extra={
-                        "chosen": {
-                            "backend": plan.backend, "jobs": plan.jobs,
-                            "source": plan.source, "rationale": plan.rationale,
-                        },
-                        "bestStatic": {
-                            "backend": best_key[0], "jobs": best_key[1],
-                            "medianSeconds": timings[best_key],
-                        },
-                        "worstStatic": {
-                            "backend": worst_key[0], "jobs": worst_key[1],
-                            "medianSeconds": timings[worst_key],
-                        },
-                        "vsBestStatic": round(auto_median / timings[best_key], 3)
-                        if timings[best_key] else None,
-                        "vsWorstStatic": round(auto_median / timings[worst_key], 3)
-                        if timings[worst_key] else None,
-                        "bitIdentical": True,
-                    },
+                    name=f"{example}-plan", backend=backend,
+                    median_s=median, err_s=err, repeats=repeats, n=_n, m=_m,
                 )
             )
-    finally:
-        if tmpdir is not None:
-            from repro.store import open_store
-
-            open_store(store_path).close()
-            shutil.rmtree(tmpdir, ignore_errors=True)
+        plan = session.planner.plan_execution(
+            fp, _n, _m, schedule=schedule, is_doall=is_doall,
+            session_backend="auto",
+        )
+        got = run(_n, _m, None, base.copy())
+        if not reference.equal(got):  # pragma: no cover - correctness guard
+            raise AssertionError(
+                f"auto backend diverged from the interpreter at {_n}x{_m}"
+            )
+        auto_median, auto_err = time_callable(
+            lambda: run(_n, _m, None, base.copy()), repeats=repeats
+        )
+        best = min(timings, key=lambda b: timings[b])
+        worst = max(timings, key=lambda b: timings[b])
+        records.append(
+            BenchRecord(
+                name=f"{example}-plan", backend="auto",
+                median_s=auto_median, err_s=auto_err, repeats=repeats,
+                n=_n, m=_m,
+                extra={
+                    "chosen": plan.to_dict(),
+                    "bestStatic": {"backend": best, "medianSeconds": timings[best]},
+                    "worstStatic": {"backend": worst, "medianSeconds": timings[worst]},
+                    "vsBestStatic": round(auto_median / timings[best], 3)
+                    if timings[best] else None,
+                    "vsWorstStatic": round(auto_median / timings[worst], 3)
+                    if timings[worst] else None,
+                    "bitIdentical": True,
+                },
+            )
+        )
     return records
 
 
@@ -777,9 +701,7 @@ def run_bench_suite(
     n: int = 256,
     m: int = 256,
     sizes: Optional[Sequence[Tuple[int, int]]] = None,
-    jobs: Sequence[int] = (1, 2, 4),
-    backends: Sequence[str] = ("interp", "compiled", "parallel"),
-    pool: str = "thread",
+    backends: Sequence[str] = ("interp", "compiled", "numpy"),
     repeats: int = 3,
     include_cache: bool = True,
     include_solver: bool = True,
@@ -793,7 +715,7 @@ def run_bench_suite(
     """
     records = bench_backend_sweep(
         example, sizes=sizes if sizes is not None else [(n, m)],
-        jobs=jobs, backends=backends, pool=pool, repeats=repeats,
+        backends=backends, repeats=repeats,
     )
     if include_cache:
         records += bench_fusion_cache(example)
@@ -802,7 +724,7 @@ def run_bench_suite(
     if include_plan:
         records += bench_plan(
             example, sizes=sizes if sizes is not None else [(n, m)],
-            jobs=jobs, repeats=repeats,
+            repeats=repeats,
         )
     if include_solver:
         records += bench_solvers()
@@ -852,7 +774,7 @@ def records_to_json(records: Sequence[BenchRecord]) -> Dict[str, Any]:
 
 def render_records_text(doc: Dict[str, Any]) -> str:
     """A fixed-width table of a :func:`records_to_json` document."""
-    headers = ["name", "backend", "jobs", "n x m", "median", "err", "speedup"]
+    headers = ["name", "backend", "n x m", "median", "err", "speedup"]
     rows: List[List[str]] = []
     for r in doc["benchmarks"]:
         size = f"{r['n']}x{r['m']}" if "n" in r else "-"
@@ -860,7 +782,6 @@ def render_records_text(doc: Dict[str, Any]) -> str:
             [
                 r["name"],
                 r["backend"],
-                str(r.get("jobs", "-")),
                 size,
                 f"{r['medianSeconds'] * 1e3:.2f} ms",
                 f"{r['errSeconds'] * 1e3:.2f} ms",

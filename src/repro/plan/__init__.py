@@ -1,50 +1,26 @@
-"""repro.plan -- the cost-model-driven execution planner.
+"""repro.plan -- the execution planner.
 
-One planning layer for every decision about *how* a fused program runs
-(backend, worker count, tile size): a static cost model over problem
-shape plus store-persisted online profiles, resolved under the
-precedence **explicit > session > profile > model**.  See
+Decides which backend runs a fused program under the precedence
+**explicit > session > rule**, where the rule maps the fusion kind and
+the staged-lowering stage mix to ``compiled`` or ``numpy``.  See
 docs/PLANNING.md.
 """
 
-from repro.plan.model import (
-    DEFAULT_BATCH_JOBS,
-    DEFAULT_TILE,
-    CostEstimate,
-    ShapeInfo,
-    choose_tile,
-    estimate_costs,
-    job_candidates,
-    shape_info,
-)
 from repro.plan.planner import (
     ExecutionPlan,
     Planner,
+    choose_backend,
     default_planner,
     plan_snapshot,
 )
-from repro.plan.profile import (
-    MemoryProfiles,
-    ProfileRow,
-    memory_profiles,
-    size_bucket,
-)
+from repro.plan.profile import DecisionMemo, memory_profiles
 
 __all__ = [
-    "DEFAULT_BATCH_JOBS",
-    "DEFAULT_TILE",
-    "CostEstimate",
+    "DecisionMemo",
     "ExecutionPlan",
-    "MemoryProfiles",
     "Planner",
-    "ProfileRow",
-    "ShapeInfo",
-    "choose_tile",
+    "choose_backend",
     "default_planner",
-    "estimate_costs",
-    "job_candidates",
     "memory_profiles",
     "plan_snapshot",
-    "shape_info",
-    "size_bucket",
 ]

@@ -1,137 +1,75 @@
-"""The online profile tier: observed kernel timings, bucketed by size.
+"""The planner's per-program decision memo.
 
-A profile row aggregates every timed execution of one structurally-equal
-program (``structural_hash``), in one environment (``env_fingerprint``),
-at one iteration-space *size bucket*, on one ``(backend, jobs)``
-configuration: run count, total seconds, best seconds.  Rows persist in
-the ``profiles`` table of the L2 sqlite store (:mod:`repro.store`) so a
-warm process -- or a whole serve fleet sharing the store file -- is
-steered by prior measurements; when no store is configured, a bounded
-in-process table keeps single-process warmth working.
+The stage-mix rule (:func:`repro.plan.planner.choose_backend`) needs the
+staged lowering of the fused body, and building that is the only costly
+step of a decision.  A fused program is immutable, so its decision never
+changes: the memo keeps it per program object.
 
-Size buckets are width-2 powers of two over the cell count, so 24x24 and
-30x30 share a bucket while 24x24 and 256x256 never do: backend crossover
-is a function of scale, and mixing scales would let a measurement at one
-size mis-steer another.
+Entries are keyed on ``(id(fp), schedule, is_doall)`` and hold a weak
+reference to the program, so a recycled ``id`` of a dead program can
+never answer for a new one -- a hit requires the very same live object.
+The table is bounded (least recently used entries go first) and honours
+``REPRO_FUSE_MEMO=0`` like every other cache.  Clearing it is a real cold
+start for the planner.  The module keeps its historical name because
+:func:`memory_profiles` is how callers reach the memo.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+import weakref
+from collections import OrderedDict
+from typing import Any, Hashable, Optional, Tuple
 
-__all__ = [
-    "size_bucket",
-    "ProfileRow",
-    "MemoryProfiles",
-    "memory_profiles",
-]
+__all__ = ["DecisionMemo", "memory_profiles"]
 
-
-def size_bucket(n: int, m: int) -> str:
-    """The deterministic size-bucket label for an ``(n, m)`` space.
-
-    Buckets are two powers of two wide over the cell count
-    ``(n+1)(m+1)``: ``lg0`` holds 1-3 cells, ``lg2`` 4-15, ``lg4``
-    16-63, ... -- 24x24 (625 cells) lands in ``lg8``, 256x256 (66049) in
-    ``lg16``.
-    """
-    cells = max(1, (n + 1) * (m + 1))
-    k = cells.bit_length() - 1
-    return f"lg{k - (k % 2)}"
+#: ``(backend, rationale)`` as returned by the rule.
+Decision = Tuple[str, str]
 
 
-@dataclass
-class ProfileRow:
-    """One aggregated observation line for a (backend, jobs) pair."""
+class DecisionMemo:
+    """A bounded, thread-safe memo of the rule's per-program decisions."""
 
-    backend: str
-    jobs: int
-    runs: int
-    total_s: float
-    best_s: float
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.runs if self.runs else float("inf")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "jobs": self.jobs,
-            "runs": self.runs,
-            "totalS": self.total_s,
-            "bestS": self.best_s,
-            "meanS": self.mean_s,
-        }
-
-
-class MemoryProfiles:
-    """The in-process fallback profile table (no store configured).
-
-    Mirrors the sqlite ``profiles`` table semantics: keyed by
-    ``(skey, fingerprint, bucket)``, aggregating per ``(backend, jobs)``.
-    Bounded by key count with oldest-inserted eviction; thread-safe.
-    """
-
-    def __init__(self, max_keys: int = 512) -> None:
-        self.max_keys = max_keys
+    def __init__(self, maxsize: int = 256) -> None:
+        self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._rows: Dict[
-            Tuple[str, str, str], Dict[Tuple[str, int], ProfileRow]
-        ] = {}
+        self._entries: "OrderedDict[Tuple[int, Hashable, bool], Tuple[Any, Decision]]" = (
+            OrderedDict()
+        )
 
-    def profile_record(
-        self,
-        skey: str,
-        fingerprint: str,
-        bucket: str,
-        backend: str,
-        jobs: int,
-        elapsed_s: float,
-    ) -> bool:
+    def get(self, fp: Any, schedule: Hashable, is_doall: bool) -> Optional[Decision]:
+        key = (id(fp), schedule, is_doall)
         with self._lock:
-            key = (skey, fingerprint, bucket)
-            table = self._rows.get(key)
-            if table is None:
-                while len(self._rows) >= self.max_keys:
-                    self._rows.pop(next(iter(self._rows)))
-                table = self._rows[key] = {}
-            row = table.get((backend, jobs))
-            if row is None:
-                table[(backend, jobs)] = ProfileRow(
-                    backend, jobs, 1, elapsed_s, elapsed_s
-                )
-            else:
-                row.runs += 1
-                row.total_s += elapsed_s
-                row.best_s = min(row.best_s, elapsed_s)
-            return True
+            entry = self._entries.get(key)
+            if entry is None or entry[0]() is not fp:
+                return None
+            self._entries.move_to_end(key)
+            return entry[1]
 
-    def profile_rows(
-        self, skey: str, fingerprint: str, bucket: str
-    ) -> List[ProfileRow]:
-        """Rows for one key, (backend, jobs)-sorted for determinism."""
+    def put(self, fp: Any, schedule: Hashable, is_doall: bool, decision: Decision) -> None:
+        try:
+            ref = weakref.ref(fp)
+        except TypeError:
+            return  # not weak-referenceable: never memoized, always re-derived
+        key = (id(fp), schedule, is_doall)
         with self._lock:
-            table = self._rows.get((skey, fingerprint, bucket), {})
-            return [
-                ProfileRow(r.backend, r.jobs, r.runs, r.total_s, r.best_s)
-                for _, r in sorted(table.items())
-            ]
+            self._entries[key] = (ref, decision)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
-            self._rows.clear()
+            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(t) for t in self._rows.values())
+            return len(self._entries)
 
 
-_MEMORY = MemoryProfiles()
+_MEMO = DecisionMemo()
 
 
-def memory_profiles() -> MemoryProfiles:
-    """The process-wide fallback table (used when no store is active)."""
-    return _MEMORY
+def memory_profiles() -> DecisionMemo:
+    """The process-wide decision memo."""
+    return _MEMO

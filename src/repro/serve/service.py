@@ -115,7 +115,8 @@ class ServeConfig:
     #: Execution backend (:mod:`repro.core.backends`) threaded into worker
     #: and fallback session options; requests carrying ``backend`` win.
     #: ``"auto"`` defers to the execution planner (:mod:`repro.plan`) --
-    #: the worker resolves it and echoes the pick on the response.
+    #: the worker resolves it and echoes the pick on the response
+    #: (the removed ``"parallel"`` backend resolves like ``"auto"``).
     backend: str = "interp"
     #: Path of the shared L2 compile store (:mod:`repro.store`).  Stamped
     #: onto requests that carry no ``storePath`` of their own, so every
@@ -138,9 +139,9 @@ class CompileService:
         # resolve before the pool exists so a bad variant name fails fast
         # without leaking worker processes
         self._ladder_labels = self._resolve_config_ladder()
-        from repro.core.backends import backend_names
+        from repro.core.backends import backend_names, selectable_backends
 
-        if self.config.backend not in backend_names() + ("auto",):
+        if self.config.backend not in selectable_backends():
             raise ValueError(
                 f"unknown execution backend {self.config.backend!r}; "
                 f"known: {list(backend_names()) + ['auto']}"
@@ -626,7 +627,7 @@ class CompileService:
             "admission": self.admission.snapshot(),
             "breaker": self.breaker.snapshot(),
             "workloadClasses": len(self._hash_by_digest),
-            # planner decisions made in *this* process (the fallback path;
+            # plan.* counters of *this* process (the fallback path;
             # worker-side plans travel in response envelopes) plus the
             # configured default backend the dispatch stamps
             "plan": {"backend": self.config.backend, **plan_snapshot()},

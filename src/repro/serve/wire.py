@@ -138,9 +138,9 @@ class CompileRequest:
             bad = [r for r in self.ladder if r not in _RUNG_LABELS]
             if bad:
                 raise WireError(f"unknown ladder rungs {bad!r}")
-        from repro.core.backends import backend_names
+        from repro.core.backends import backend_names, selectable_backends
 
-        if self.backend not in backend_names() + ("auto",):
+        if self.backend not in selectable_backends():
             raise WireError(
                 f"unknown execution backend {self.backend!r}; "
                 f"known: {list(backend_names()) + ['auto']}"

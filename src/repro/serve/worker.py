@@ -203,22 +203,23 @@ def _compile(req: "Any", tracer: "Any", resp: "Any") -> None:
     resp.diagnostics = [d.to_dict() for d in out.diagnostics]
 
 
-#: Nominal iteration-space extents the worker plans at when a request
-#: says ``backend="auto"``.  Serve compiles but never executes kernels,
-#: so the planner's answer here is advisory -- clients that execute at a
-#: real size re-plan locally and get the size-bucketed decision.
-_PLAN_SHAPE = (256, 256)
-
-
 def resolve_backend(backend: str, session: "Any", out: "Any", resp: "Any") -> None:
     """Echo the effective execution backend on the response.
 
     Explicit requests echo verbatim (the precedence contract: an explicit
     per-request backend always beats the daemon default and the planner).
-    ``"auto"`` is resolved through the session's planner -- against the
-    request's L2 store when one rode the wire, so profile rows written by
-    executing clients steer the serve-side answer too.
+    ``"auto"`` is resolved through the planner's stage-mix rule, which
+    does not depend on the iteration-space size.  The removed
+    ``"parallel"`` backend resolves like ``"auto"``, with a note.
     """
+    from repro.core.backends import DEPRECATED_BACKENDS
+
+    if backend in DEPRECATED_BACKENDS:
+        resp.notes.append(
+            f"backend {backend!r} was removed; resolved as "
+            f"{DEPRECATED_BACKENDS[backend]!r}"
+        )
+        backend = DEPRECATED_BACKENDS[backend]
     if backend != "auto":
         resp.backend = backend
         return
@@ -236,8 +237,7 @@ def resolve_backend(backend: str, session: "Any", out: "Any", resp: "Any") -> No
     if is_doall is None:
         is_doall = schedule is None
     plan = session.planner.plan_execution(
-        fused, _PLAN_SHAPE[0], _PLAN_SHAPE[1],
-        schedule=schedule, is_doall=bool(is_doall), requested="auto",
+        fused, schedule=schedule, is_doall=bool(is_doall), requested="auto",
     )
     resp.backend = plan.backend
     resp.plan = plan.to_dict()

@@ -39,7 +39,7 @@ __all__ = [
 #: Version of the sqlite table layout *and* of the JSON payload encoding.
 #: Bump on any incompatible change; older files are wiped and rebuilt,
 #: newer files are left untouched and the store disables itself.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 #: ``schema`` field stamped into every JSON payload row.
 PAYLOAD_SCHEMA = "repro-store/1"

@@ -36,12 +36,9 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.plan.profile import ProfileRow
 from repro.store.fingerprint import PAYLOAD_SCHEMA, STORE_SCHEMA_VERSION
 
 __all__ = ["CompileStore", "StoreStats", "DEFAULT_MAX_ENTRIES", "DEFAULT_MAX_BYTES"]
@@ -74,7 +71,6 @@ class StoreStats:
     puts: int
     evictions: int
     disabled: bool
-    profile_rows: int = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -98,7 +94,6 @@ class StoreStats:
             "maxBytes": self.max_bytes,
             "storedHits": self.stored_hits,
             "fingerprints": self.fingerprints,
-            "profileRows": self.profile_rows,
             "schemaVersion": self.schema_version,
             "disabled": self.disabled,
         }
@@ -120,19 +115,6 @@ CREATE TABLE IF NOT EXISTS entries (
     PRIMARY KEY (skey, fingerprint)
 );
 CREATE INDEX IF NOT EXISTS entries_lru ON entries (last_used_s);
-CREATE TABLE IF NOT EXISTS profiles (
-    skey        TEXT NOT NULL,
-    fingerprint TEXT NOT NULL,
-    bucket      TEXT NOT NULL,
-    backend     TEXT NOT NULL,
-    jobs        INTEGER NOT NULL,
-    runs        INTEGER NOT NULL DEFAULT 0,
-    total_s     REAL NOT NULL DEFAULT 0,
-    best_s      REAL NOT NULL,
-    last_used_s REAL NOT NULL,
-    PRIMARY KEY (skey, fingerprint, bucket, backend, jobs)
-);
-CREATE INDEX IF NOT EXISTS profiles_lru ON profiles (last_used_s);
 """
 
 
@@ -249,6 +231,8 @@ class CompileStore:
                 self._disabled = True
                 return
             # older (or unreadable) schema: it is a cache, wipe and rebuild
+            # (schema 1 files also carry a ``profiles`` table of execution
+            # timings, which nothing reads any more)
             obs.default_registry().counter("store.schema_mismatch").inc()
             conn.executescript(
                 "DROP TABLE IF EXISTS entries; DROP TABLE IF EXISTS profiles;"
@@ -472,139 +456,18 @@ class CompileStore:
         return removed
 
     def clear(self) -> int:
-        """Delete every entry and profile row (the meta table survives).
-        Returns the entry count removed."""
+        """Delete every entry (the meta table survives).  Returns the
+        entry count removed."""
         with self._lock:
             conn = self._connection()
             if conn is None:
                 return 0
             try:
                 cur = conn.execute("DELETE FROM entries")
-                conn.execute("DELETE FROM profiles")
                 return int(cur.rowcount)
             except sqlite3.Error as exc:
                 self._note_error(exc)
                 return 0
-
-    # -------------------------------------------------------------- #
-    # execution profiles (the planner's online tier; docs/PLANNING.md)
-    # -------------------------------------------------------------- #
-
-    def profile_record(
-        self,
-        skey: str,
-        fingerprint: str,
-        bucket: str,
-        backend: str,
-        jobs: int,
-        elapsed_s: float,
-    ) -> bool:
-        """Fold one observed kernel timing into its aggregate row.
-
-        Rows aggregate per ``(skey, fingerprint, bucket, backend, jobs)``:
-        run count, total and best seconds.  Same failure contract as
-        :meth:`put` -- sqlite trouble degrades to a no-op, never raises.
-        """
-        reg = obs.default_registry()
-        with self._lock:
-            conn = self._connection()
-            if conn is None:
-                return False
-            now = time.time()
-            try:
-                conn.execute(
-                    "INSERT INTO profiles"
-                    " (skey, fingerprint, bucket, backend, jobs,"
-                    "  runs, total_s, best_s, last_used_s)"
-                    " VALUES (?, ?, ?, ?, ?, 1, ?, ?, ?)"
-                    " ON CONFLICT(skey, fingerprint, bucket, backend, jobs)"
-                    " DO UPDATE SET runs = runs + 1,"
-                    "  total_s = total_s + excluded.total_s,"
-                    "  best_s = MIN(best_s, excluded.best_s),"
-                    "  last_used_s = excluded.last_used_s",
-                    (skey, fingerprint, bucket, backend, int(jobs),
-                     float(elapsed_s), float(elapsed_s), now),
-                )
-                reg.counter("store.profile_puts").inc()
-                self._enforce_profile_cap(conn)
-                return True
-            except sqlite3.Error as exc:
-                self._note_error(exc)
-                return False
-
-    def profile_rows(
-        self, skey: str, fingerprint: str, bucket: str
-    ) -> List["ProfileRow"]:
-        """The aggregate rows for one planning key, (backend, jobs)-sorted.
-
-        Returns :class:`repro.plan.profile.ProfileRow` objects so the
-        planner treats the disk tier and the in-memory fallback
-        uniformly.  A readable result bumps recency; failures are empty.
-        """
-        from repro.plan.profile import ProfileRow
-
-        reg = obs.default_registry()
-        with self._lock:
-            conn = self._connection()
-            if conn is None:
-                reg.counter("store.profile_misses").inc()
-                return []
-            try:
-                rows = conn.execute(
-                    "SELECT backend, jobs, runs, total_s, best_s FROM profiles"
-                    " WHERE skey = ? AND fingerprint = ? AND bucket = ?"
-                    " ORDER BY backend, jobs",
-                    (skey, fingerprint, bucket),
-                ).fetchall()
-                if rows:
-                    conn.execute(
-                        "UPDATE profiles SET last_used_s = ?"
-                        " WHERE skey = ? AND fingerprint = ? AND bucket = ?",
-                        (time.time(), skey, fingerprint, bucket),
-                    )
-                    reg.counter("store.profile_hits").inc()
-                else:
-                    reg.counter("store.profile_misses").inc()
-                out = []
-                for backend, jobs, runs, total_s, best_s in rows:
-                    try:
-                        out.append(ProfileRow(
-                            str(backend), int(jobs), int(runs),
-                            float(total_s), float(best_s),
-                        ))
-                    except (TypeError, ValueError):
-                        continue  # a torn row must not take the planner down
-                return out
-            except sqlite3.Error as exc:
-                self._note_error(exc)
-                reg.counter("store.profile_misses").inc()
-                return []
-
-    def profile_count(self) -> int:
-        """Total profile rows in the file (0 on any failure)."""
-        with self._lock:
-            conn = self._connection()
-            if conn is None:
-                return 0
-            try:
-                return int(conn.execute("SELECT COUNT(*) FROM profiles").fetchone()[0])
-            except sqlite3.Error as exc:
-                self._note_error(exc)
-                return 0
-
-    def _enforce_profile_cap(self, conn: sqlite3.Connection) -> None:
-        """Keep the profile table bounded like the entry table (LRU)."""
-        (count,) = conn.execute("SELECT COUNT(*) FROM profiles").fetchone()
-        if count <= self.max_entries:
-            return
-        conn.execute(
-            "DELETE FROM profiles WHERE rowid IN"
-            " (SELECT rowid FROM profiles ORDER BY last_used_s ASC LIMIT ?)",
-            (count - self.max_entries,),
-        )
-        obs.default_registry().counter("store.profile_evictions").inc(
-            count - self.max_entries
-        )
 
     def verify(self, *, repair: bool = False) -> Dict[str, Any]:
         """Audit every row: checksum, JSON round-trip, payload schema.
@@ -670,7 +533,6 @@ class CompileStore:
         payload_bytes = 0
         stored_hits = 0
         fingerprints = 0
-        profile_rows = 0
         schema_version: Optional[int] = None
         with self._lock:
             conn = self._connection()
@@ -680,9 +542,6 @@ class CompileStore:
                         "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0),"
                         " COALESCE(SUM(hits), 0), COUNT(DISTINCT fingerprint)"
                         " FROM entries"
-                    ).fetchone()
-                    (profile_rows,) = conn.execute(
-                        "SELECT COUNT(*) FROM profiles"
                     ).fetchone()
                     row = conn.execute(
                         "SELECT value FROM meta WHERE key = 'schema_version'"
@@ -712,7 +571,6 @@ class CompileStore:
                 puts=self._puts,
                 evictions=self._evictions,
                 disabled=self._disabled,
-                profile_rows=int(profile_rows),
             )
 
     def cache_info(self) -> StoreStats:

@@ -34,24 +34,24 @@ def cold_caches():
 
 
 class TestTraceFlag:
-    def test_run_parallel_writes_chrome_trace(self, fig2_file, tmp_path, capsys,
-                                              cold_caches):
+    def test_run_auto_writes_chrome_trace(self, fig2_file, tmp_path, capsys,
+                                          cold_caches):
         trace = tmp_path / "t.json"
         with obs.use_registry():
             code = main([
-                "run", fig2_file, "--backend", "parallel", "--jobs", "2",
+                "run", fig2_file, "--backend", "auto",
                 "--size", "16,16", "--no-emit",
                 "--trace", str(trace), "--trace-format", "chrome",
             ])
         assert code == 0
         doc = json.loads(trace.read_text())
         names = {e["name"] for e in doc["traceEvents"]}
-        # the acceptance shape: pipeline, solver and per-chunk spans nested
-        # in one chrome-loadable trace
+        # the acceptance shape: pipeline, solver, planner and execution
+        # spans in one chrome-loadable trace
         assert "pipeline.fuse_program" in names
         assert "solver.bellman_ford" in names
-        assert "exec.parallel.run" in names
-        assert "exec.parallel.chunk" in names
+        assert "plan.select" in names
+        assert "exec.interp.run_fused" in names  # the verification reference
         assert all(e["ph"] == "X" for e in doc["traceEvents"])
         assert doc["otherData"]["schema"] == "repro-trace/1"
 
@@ -143,17 +143,17 @@ class TestMetricsFlag:
                                                          cold_caches):
         metrics = tmp_path / "m.json"
         with obs.use_registry():
-            assert main(["run", fig2_file, "--backend", "parallel",
-                         "--jobs", "2", "--size", "16,16", "--no-emit",
+            assert main(["run", fig2_file, "--backend", "numpy",
+                         "--size", "16,16", "--no-emit",
                          "--metrics", str(metrics)]) == 0
         doc = json.loads(metrics.read_text())
         assert doc["schema"] == "repro-stats/1"
-        assert doc["metrics"]["counters"].get("exec.parallel.runs", 0) > 0
+        assert doc["metrics"]["counters"].get("exec.numpy.runs", 0) > 0
         capsys.readouterr()
         with obs.use_registry():
             # a fresh (empty) registry: the rendered numbers come from the file
             assert main(["stats", "--input", str(metrics)]) == 0
-        assert "exec.parallel.runs" in capsys.readouterr().out
+        assert "exec.numpy.runs" in capsys.readouterr().out
 
     def test_stats_input_empty_document_exits_nonzero(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro import obs
-from repro.core.batch import BATCH_SCHEMA
+from repro.core.batch import BATCH_SCHEMA, DEFAULT_BATCH_JOBS
 from repro.core.session import Session, SessionCaches, SessionOptions
 from repro.gallery.common import iir2d_code
 from repro.gallery.paper import figure2_code
@@ -61,6 +61,11 @@ def test_serial_and_parallel_batches_are_equivalent():
     assert [_entry_key(e) for e in serial.entries] == [
         _entry_key(e) for e in parallel.entries
     ]
+
+
+def test_batch_default_preserved():
+    # the old SessionOptions.jobs = 4 literal
+    assert DEFAULT_BATCH_JOBS == 4
 
 
 def test_fuse_many_resilient():

@@ -13,11 +13,11 @@ from repro import obs
 from repro.codegen.interp import ArrayStore
 from repro.codegen.pycompile import clear_kernel_cache, compile_fused
 from repro.constraints.bellman_ford import scalar_bellman_ford
+from repro.core.backends import execute_fused
 from repro.fusion.driver import fuse
 from repro.gallery.paper import figure2_code, figure2_mldg
 from repro.perf.bench import bench_solvers, records_to_json
 from repro.perf.memo import clear_all_caches
-from repro.perf.parallel import run_parallel
 from repro.pipeline import fuse_program
 from repro.resilience.budget import Budget, BudgetExceededError
 from repro.resilience.ladder import fuse_resilient
@@ -155,39 +155,28 @@ class TestResilienceBridge:
         assert "final_rung" in ladder.attributes
 
 
-def _traced_parallel_run(jobs):
-    """One fully cold traced pipeline + parallel execution of fig2."""
+def _traced_run():
+    """One fully cold traced pipeline + numpy execution of fig2."""
     clear_all_caches()
     clear_kernel_cache()
     with obs.tracing() as tracer:
         result = fuse_program(figure2_code())
         store = ArrayStore.for_program(result.fused.original, 12, 12, seed=3)
-        run_parallel(result.fused, 12, 12, store=store, jobs=jobs)
+        execute_fused("numpy", result.fused, 12, 12, store=store)
     return tracer, store
 
 
 class TestTraceDeterminism:
-    def test_span_tree_shape_identical_across_job_counts(self):
+    def test_span_tree_shape_identical_across_cold_runs(self):
         with obs.use_registry():
-            t1, s1 = _traced_parallel_run(jobs=1)
-            t4, s4 = _traced_parallel_run(jobs=4)
-        # detail spans (per-chunk) scale with the worker split; the
-        # canonical skeleton must not
-        assert obs.tree_shape(t1) == obs.tree_shape(t4)
-        assert s1.equal(s4)
-
-    def test_detail_chunk_spans_exist(self):
-        with obs.use_registry():
-            tracer, _ = _traced_parallel_run(jobs=4)
-        chunks = [s for s in tracer.spans() if s.name == "exec.parallel.chunk"]
-        assert chunks and all(s.detail for s in chunks)
-        run_span = next(s for s in tracer.spans() if s.name == "exec.parallel.doall")
-        # pool workers have no ambient stack: parents are passed explicitly
-        assert all(s.parent_id == run_span.span_id for s in chunks)
+            t1, s1 = _traced_run()
+            t2, s2 = _traced_run()
+        assert obs.tree_shape(t1) == obs.tree_shape(t2)
+        assert s1.equal(s2)
 
     def test_pipeline_spans_nest_under_fuse_program(self):
         with obs.use_registry():
-            tracer, _ = _traced_parallel_run(jobs=1)
+            tracer, _ = _traced_run()
         names = [s.name for s in tracer.spans()]
         root = next(s for s in tracer.spans() if s.name == "pipeline.fuse_program")
         for child in ("pipeline.parse", "pipeline.extract", "pipeline.codegen"):
@@ -202,8 +191,8 @@ class TestTraceDeterminism:
             clear_kernel_cache()
             result = fuse_program(figure2_code())
             plain = ArrayStore.for_program(result.fused.original, 12, 12, seed=3)
-            run_parallel(result.fused, 12, 12, store=plain, jobs=4)
-            _, traced = _traced_parallel_run(jobs=4)
+            execute_fused("numpy", result.fused, 12, 12, store=plain)
+            _, traced = _traced_run()
         assert plain.equal(traced)
 
 

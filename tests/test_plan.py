@@ -1,26 +1,31 @@
-"""The execution planner (repro.plan): model, profiles, precedence.
+"""The execution planner (repro.plan): the stage-mix rule and precedence.
 
-The planner's two load-bearing invariants, tested head-on:
+The planner's load-bearing invariants, tested head-on:
 
-* **Determinism** -- a decision is a pure function of (shape, profile
-  rows, fingerprint, cpu count).  The same inputs yield the same
-  :class:`ExecutionPlan` even while the wall clock is jumping wildly,
-  because ``plan_execution`` never reads it.
+* **Determinism** -- a decision is a pure function of the fusion kind and
+  the staged-lowering stage mix.  The same program yields the same
+  :class:`ExecutionPlan` with and without a store, with memoization off,
+  across repeated calls and while the wall clock jumps.
 * **Bit-identity** -- ``"auto"`` picks *how* to run, never *what* is
   computed: the full runnable gallery under the planner matches the
-  serial interpreter exactly, cold (model tier) and warm (profile tier).
+  serial interpreter exactly.
+* **Compatibility** -- the removed ``parallel`` backend's name still
+  works everywhere it used to (``execute_fused``, the wire, the CLI) and
+  resolves like ``"auto"``.
 
-Plus the precedence ladder (explicit > session > profile > model), the
-exploration rule that keeps a cold profile from locking onto the first
-backend measured, the memoization gate on feedback recording, and the
-sqlite ``profiles`` table behind it all.
+Plus the precedence ladder (explicit > session > rule) and the bounded
+per-program decision memo behind ``memory_profiles()``.
 """
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.codegen import apply_fusion
 from repro.codegen.interp import ArrayStore, run_fused
 from repro.core.backends import backend_names, execute_fused
@@ -31,27 +36,22 @@ from repro.gallery.common import iir2d_code
 from repro.gallery.extended import extended_kernels
 from repro.gallery.paper import figure2_code
 from repro.loopir import parse_program
-from repro.perf.memo import clear_all_caches, structural_hash
+from repro.perf.memo import clear_all_caches
 from repro.plan import (
-    DEFAULT_BATCH_JOBS,
-    DEFAULT_TILE,
-    ExecutionPlan,
-    MemoryProfiles,
+    DecisionMemo,
     Planner,
-    choose_tile,
-    estimate_costs,
-    job_candidates,
+    choose_backend,
     memory_profiles,
     plan_snapshot,
-    shape_info,
-    size_bucket,
 )
-from repro.store import CompileStore, current_fingerprint, reset_open_stores
+from repro.serve.service import CompileService, ServeConfig
+from repro.serve.wire import request_from_program
+from repro.store import reset_open_stores
 
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    """No ambient store, empty in-process profile table, per test."""
+    """No ambient store, empty decision memo, per test."""
     monkeypatch.delenv("REPRO_FUSE_STORE", raising=False)
     monkeypatch.delenv("REPRO_FUSE_MEMO", raising=False)
     clear_all_caches()
@@ -75,163 +75,109 @@ def fig2():
     return _fused(figure2_code())
 
 
-# ------------------------------------------------------------------ #
-# size buckets
-# ------------------------------------------------------------------ #
+def _gallery_sources():
+    sources = {"fig2": figure2_code(), "iir2d": iir2d_code()}
+    for k in extended_kernels():
+        sources[k.key] = k.code
+    return sorted(sources.items())
 
 
-class TestSizeBucket:
-    def test_reference_sizes(self):
-        # 24x24 = 625 cells -> lg8; 256x256 = 66049 -> lg16
-        assert size_bucket(24, 24) == "lg8"
-        assert size_bucket(256, 256) == "lg16"
-
-    def test_buckets_are_two_powers_wide(self):
-        # nearby sizes share a bucket so measurements transfer...
-        assert size_bucket(24, 24) == size_bucket(30, 30)
-        # ...but scales never mix: crossover is a function of size
-        assert size_bucket(24, 24) != size_bucket(256, 256)
-
-    def test_degenerate_space(self):
-        assert size_bucket(0, 0) == "lg0"
-
-    def test_labels_are_even(self):
-        for n in (0, 3, 7, 24, 100, 256, 1000):
-            label = size_bucket(n, n)
-            assert int(label[2:]) % 2 == 0
+_GALLERY = [(key, *_fused(src)) for key, src in _gallery_sources()]
+_IDS = [w[0] for w in _GALLERY]
 
 
 # ------------------------------------------------------------------ #
-# the static cost model
+# the rule
 # ------------------------------------------------------------------ #
 
 
-class TestCostModel:
-    def test_shape_info_is_stable(self, fig2):
-        _, fp, result = fig2
-        a = shape_info(fp, 24, 24, schedule=result.schedule,
-                       is_doall=result.is_doall)
-        b = shape_info(fp, 24, 24, schedule=result.schedule,
-                       is_doall=result.is_doall)
-        assert a == b
-        assert a.cells == 625 and a.statements >= 1
+class TestRule:
+    @pytest.mark.parametrize("mix", [(0, 0, 0), (5, 0, 0), (0, 3, 0), (1, 4, 2)])
+    def test_every_non_doall_fusion_picks_numpy(self, mix):
+        assert choose_backend(False, *mix)[0] == "numpy"
 
-    def test_estimates_are_deterministic(self, fig2):
-        _, fp, result = fig2
-        shape = shape_info(fp, 256, 256, schedule=result.schedule,
-                           is_doall=result.is_doall)
-        assert estimate_costs(shape, cpus=4) == estimate_costs(shape, cpus=4)
+    def test_doall_vector_heavy_picks_numpy(self):
+        assert choose_backend(True, 2, 0)[0] == "numpy"
+        assert choose_backend(True, 2, 2)[0] == "numpy"
 
-    def test_job_candidates_clip_to_cpu_count(self):
-        assert job_candidates(1) == (1,)
-        assert job_candidates(2) == (1, 2)
-        assert job_candidates(3) == (1, 2)
-        assert job_candidates(8) == (1, 2, 4)
+    def test_doall_row_bound_picks_compiled(self):
+        assert choose_backend(True, 1, 4)[0] == "compiled"
+        assert choose_backend(True, 0, 3)[0] == "compiled"
+        assert choose_backend(True, 1, 1, 1)[0] == "compiled"  # scalar is row-bound
 
-    def test_choose_tile(self, fig2):
-        _, fp, result = fig2
-        shape = shape_info(fp, 24, 24, schedule=result.schedule,
-                           is_doall=result.is_doall)
-        # serial keeps the extracted ParallelExecutor default
-        assert choose_tile(shape, 1) == DEFAULT_TILE
-        # with workers the tile shrinks so one front feeds all of them,
-        # floored where submission overhead would exceed the tile's work
-        assert choose_tile(shape, 4) == 16
-        big = shape_info(fp, 2000, 2000, schedule=result.schedule,
-                         is_doall=result.is_doall)
-        assert 16 <= choose_tile(big, 4) <= DEFAULT_TILE
+    def test_rationale_names_the_stage_mix(self):
+        backend, why = choose_backend(True, 1, 4)
+        assert "w1/s4/x0" in why and backend == "compiled"
 
-    def test_small_space_never_models_parallel_fanout_as_best(self, fig2):
-        # pool submission overhead must dominate at 24x24
-        _, fp, result = fig2
-        shape = shape_info(fp, 24, 24, schedule=result.schedule,
-                           is_doall=result.is_doall)
-        best = min(estimate_costs(shape, cpus=4), key=lambda c: c.est_s)
-        assert not (best.backend == "parallel" and best.jobs > 1)
+    def test_anisotropic_sweep_picks_numpy(self):
+        # the hyperplane kernel the old cost model sent to compiled (37x off)
+        (_, _, fp, result), = [w for w in _GALLERY if w[0] == "anisotropic-sweep"]
+        assert not result.is_doall
+        plan = Planner().plan_execution(
+            fp, 256, 256, schedule=result.schedule, is_doall=result.is_doall)
+        assert (plan.backend, plan.source) == ("numpy", "rule")
 
-    def test_batch_default_preserved(self):
-        # the old SessionOptions.jobs = 4 literal lives here now
-        assert DEFAULT_BATCH_JOBS == 4
+    @pytest.mark.parametrize("key,nest,fp,result", _GALLERY, ids=_IDS)
+    def test_same_pick_with_and_without_store_memo_and_repeats(
+        self, key, nest, fp, result, tmp_path, monkeypatch
+    ):
+        def pick():
+            return Planner().plan_execution(
+                fp, 24, 24, schedule=result.schedule, is_doall=result.is_doall)
+
+        cold = pick()
+        assert pick() == cold  # memoized
+        session = Session(options=SessionOptions(store_path=str(tmp_path / "s.db")),
+                          caches=SessionCaches.private())
+        with session.activate():
+            assert pick() == cold
+        monkeypatch.setenv("REPRO_FUSE_STORE", str(tmp_path / "env.db"))
+        assert pick() == cold
+        monkeypatch.setenv("REPRO_FUSE_MEMO", "0")
+        memory_profiles().clear()
+        assert pick() == cold
+        assert len(memory_profiles()) == 0  # the kill switch bypasses the memo
 
 
 # ------------------------------------------------------------------ #
-# profile tables: in-process fallback and the sqlite tier
+# the decision memo behind memory_profiles()
 # ------------------------------------------------------------------ #
 
 
 class TestMemoryProfiles:
-    def test_rows_aggregate(self):
-        t = MemoryProfiles()
-        assert t.profile_record("s", "f", "lg8", "compiled", 1, 0.004)
-        assert t.profile_record("s", "f", "lg8", "compiled", 1, 0.002)
-        (row,) = t.profile_rows("s", "f", "lg8")
-        assert (row.backend, row.jobs, row.runs) == ("compiled", 1, 2)
-        assert row.best_s == pytest.approx(0.002)
-        assert row.mean_s == pytest.approx(0.003)
-
-    def test_rows_sorted_and_keyed(self):
-        t = MemoryProfiles()
-        t.profile_record("s", "f", "lg8", "parallel", 2, 0.1)
-        t.profile_record("s", "f", "lg8", "interp", 1, 0.2)
-        assert [r.backend for r in t.profile_rows("s", "f", "lg8")] == [
-            "interp", "parallel"]
-        assert t.profile_rows("s", "f", "lg16") == []
-        assert t.profile_rows("s", "other", "lg8") == []
+    def test_clear(self, fig2):
+        _, fp, result = fig2
+        Planner().plan_execution(fp, schedule=result.schedule, is_doall=result.is_doall)
+        assert len(memory_profiles()) == 1
+        memory_profiles().clear()
+        assert len(memory_profiles()) == 0
 
     def test_bounded_eviction(self):
-        t = MemoryProfiles(max_keys=2)
-        for i in range(4):
-            t.profile_record(f"s{i}", "f", "lg8", "interp", 1, 0.1)
-        assert t.profile_rows("s0", "f", "lg8") == []  # oldest evicted
-        assert len(t.profile_rows("s3", "f", "lg8")) == 1
+        memo = DecisionMemo(maxsize=2)
+        programs = [_fused(figure2_code())[1] for _ in range(3)]
+        for fp in programs:
+            memo.put(fp, None, True, ("numpy", "x"))
+        assert len(memo) == 2
+        assert memo.get(programs[0], None, True) is None  # oldest evicted
+        assert memo.get(programs[2], None, True) == ("numpy", "x")
 
-    def test_clear(self):
-        t = MemoryProfiles()
-        t.profile_record("s", "f", "lg8", "interp", 1, 0.1)
-        t.clear()
-        assert len(t) == 0
+    def test_keyed_by_schedule_and_kind(self, fig2):
+        _, fp, _ = fig2
+        memo = DecisionMemo()
+        memo.put(fp, None, True, ("compiled", "x"))
+        assert memo.get(fp, None, False) is None
+        assert memo.get(fp, (1, 0), True) is None
 
-
-class TestStoreProfiles:
-    def test_roundtrip_aggregates(self, tmp_path):
-        store = CompileStore(str(tmp_path / "s.db"))
-        assert store.profile_record("s", "f", "lg8", "numpy", 1, 0.004)
-        assert store.profile_record("s", "f", "lg8", "numpy", 1, 0.002)
-        assert store.profile_record("s", "f", "lg8", "parallel", 2, 0.030)
-        rows = store.profile_rows("s", "f", "lg8")
-        assert [(r.backend, r.jobs) for r in rows] == [
-            ("numpy", 1), ("parallel", 2)]
-        assert rows[0].runs == 2 and rows[0].best_s == pytest.approx(0.002)
-        assert rows[0].mean_s == pytest.approx(0.003)
-
-    def test_key_isolation(self, tmp_path):
-        store = CompileStore(str(tmp_path / "s.db"))
-        store.profile_record("s", "f", "lg8", "numpy", 1, 0.004)
-        assert store.profile_rows("s", "f", "lg16") == []
-        assert store.profile_rows("s", "other-env", "lg8") == []
-        assert store.profile_rows("other-prog", "f", "lg8") == []
-
-    def test_rows_survive_reopen(self, tmp_path):
-        path = str(tmp_path / "s.db")
-        CompileStore(path).profile_record("s", "f", "lg8", "compiled", 1, 0.01)
-        rows = CompileStore(path).profile_rows("s", "f", "lg8")
-        assert [(r.backend, r.runs) for r in rows] == [("compiled", 1)]
-
-    def test_stats_and_count_report_profiles(self, tmp_path):
-        store = CompileStore(str(tmp_path / "s.db"))
-        store.profile_record("s", "f", "lg8", "numpy", 1, 0.004)
-        store.profile_record("s", "f", "lg16", "numpy", 1, 0.1)
-        assert store.profile_count() == 2
-        assert store.stats().profile_rows == 2
-        assert store.stats().to_dict()["profileRows"] == 2
-
-    def test_clear_drops_profiles_too(self, tmp_path):
-        store = CompileStore(str(tmp_path / "s.db"))
-        store.put("k", "f", 1)
-        store.profile_record("s", "f", "lg8", "numpy", 1, 0.004)
-        store.clear()
-        assert store.profile_count() == 0
-        assert store.profile_rows("s", "f", "lg8") == []
+    def test_dead_program_never_answers_for_a_new_one(self):
+        memo = DecisionMemo()
+        fp = _fused(figure2_code())[1]
+        memo.put(fp, None, True, ("compiled", "x"))
+        del fp
+        gc.collect()
+        # whatever object now sits at the recycled id, the entry is dead
+        for _ in range(50):
+            other = _fused(iir2d_code())[1]
+            assert memo.get(other, None, True) is None
 
 
 # ------------------------------------------------------------------ #
@@ -245,92 +191,42 @@ def _plan(fig2, n=256, m=256, **kw):
         fp, n, m, schedule=result.schedule, is_doall=result.is_doall, **kw)
 
 
-def _seed_profile(fig2, backend, jobs, elapsed_s, n=256, m=256):
-    """Plant one observed timing for fig2's planning key."""
-    _, fp, _ = fig2
-    memory_profiles().profile_record(
-        structural_hash(fp.retimed_mldg), current_fingerprint(),
-        size_bucket(n, m), backend, jobs, elapsed_s)
-
-
 class TestPlannerPrecedence:
     def test_explicit_wins(self, fig2):
         plan = _plan(fig2, requested="compiled", session_backend="numpy")
         assert (plan.backend, plan.source) == ("compiled", "explicit")
 
-    def test_session_pin_wins_over_profile(self, fig2):
-        _seed_profile(fig2, "numpy", 1, 1e-4)
-        plan = _plan(fig2, session_backend="parallel")
-        assert (plan.backend, plan.source) == ("parallel", "session")
+    def test_session_pin_wins_over_rule(self, fig2):
+        plan = _plan(fig2, session_backend="interp")
+        assert (plan.backend, plan.source) == ("interp", "session")
 
     def test_requested_auto_delegates(self, fig2):
         plan = _plan(fig2, requested="auto")
-        assert plan.source in ("profile", "model")
-
-    def test_cold_key_falls_back_to_model(self, fig2):
-        plan = _plan(fig2)
-        assert plan.source == "model"
-        assert "cost model" in plan.rationale
+        assert plan.source == "rule"
         assert plan.backend in backend_names()
-        assert plan.est_s is not None and plan.est_s > 0
-
-    def test_explicit_jobs_respected(self, fig2):
-        plan = _plan(fig2, requested="parallel", jobs=3)
-        assert plan.jobs == 3
-        assert plan.tile == choose_tile(
-            shape_info(fig2[1], 256, 256, schedule=fig2[2].schedule,
-                       is_doall=fig2[2].is_doall), 3)
 
     def test_non_parallel_backend_plans_one_job(self, fig2):
-        plan = _plan(fig2, requested="numpy")
-        assert plan.jobs == 1 and plan.tile == DEFAULT_TILE
+        plan = _plan(fig2, requested="numpy", jobs=4)
+        assert plan.jobs == 1 and plan.tile is None
 
-
-class TestPlannerProfileTier:
-    def test_measured_winner_is_picked(self, fig2):
-        # the model favourite is measured, so measurements rule outright
-        model = _plan(fig2)
-        _seed_profile(fig2, model.backend, model.jobs, 0.5)
-        _seed_profile(fig2, "compiled", 1, 1e-5)
-        plan = _plan(fig2)
-        assert (plan.backend, plan.source) == ("compiled", "profile")
-        assert "measured fastest" in plan.rationale
-
-    def test_exploration_beats_first_mover_lock_in(self, fig2):
-        # only a slow backend is measured and the model favourite is
-        # still unprofiled: explore the favourite instead of locking on
-        model = _plan(fig2)
-        _seed_profile(fig2, "interp", 1, 1.0)  # far above any estimate
-        plan = _plan(fig2)
-        assert plan.source == "model"
-        assert plan.backend == model.backend
-        assert plan.rationale.startswith("exploring unprofiled")
-
-    def test_measured_best_beating_estimate_ends_exploration(self, fig2):
-        model = _plan(fig2)
-        _seed_profile(fig2, "compiled", 1, model.est_s / 10.0)
-        plan = _plan(fig2)
-        assert (plan.backend, plan.source) == ("compiled", "profile")
-
-    def test_profile_rows_are_bucket_local(self, fig2):
-        _seed_profile(fig2, "compiled", 1, 1e-5, n=256, m=256)
-        # 24x24 lives in lg8, so the lg16 row must not steer it
-        assert _plan(fig2, n=24, m=24).source == "model"
-        assert _plan(fig2, n=256, m=256).source == "profile"
-
-    def test_jobs_constraint_filters_parallel_rows(self, fig2):
-        _seed_profile(fig2, "parallel", 4, 1e-6)
-        plan = _plan(fig2, jobs=2)
-        assert not (plan.backend == "parallel" and plan.jobs == 4)
+    def test_deprecated_parallel_resolves_like_auto(self, fig2):
+        with pytest.warns(DeprecationWarning, match="parallel"):
+            plan = _plan(fig2, session_backend="parallel")
+        assert plan == _plan(fig2)
+        assert plan.source == "rule"
 
 
 class TestPlannerDeterminism:
     def test_same_inputs_same_plan(self, fig2):
         assert _plan(fig2) == _plan(fig2)
 
+    def test_size_does_not_change_the_pick(self, fig2):
+        assert _plan(fig2, 5, 7) == _plan(fig2, 24, 24) == _plan(fig2, 256, 256)
+
     def test_warm_plans_repeat(self, fig2):
-        _seed_profile(fig2, "compiled", 1, 1e-5)
-        assert _plan(fig2) == _plan(fig2)
+        cold = _plan(fig2)
+        assert len(memory_profiles()) == 1
+        assert _plan(fig2) == cold
 
     def test_no_wall_clock_leakage(self, fig2, monkeypatch):
         # decisions stay identical while the clock jumps by hours
@@ -346,30 +242,10 @@ class TestPlannerDeterminism:
 
         monkeypatch.setattr(_time, "perf_counter", jumpy)
         monkeypatch.setattr(_time, "time", lambda: jumpy())
-        _seed_profile(fig2, "compiled", 1, 1e-5)
         assert _plan(fig2) == _plan(fig2)
 
-    def test_decision_ignores_row_insertion_order(self, fig2):
-        _, fp, result = fig2
-        skey = structural_hash(fp.retimed_mldg)
-        fingerprint = current_fingerprint()
-        forward = MemoryProfiles()
-        backward = MemoryProfiles()
-        rows = [("numpy", 1, 0.004), ("compiled", 1, 0.002),
-                ("parallel", 2, 0.010)]
-        for b, j, s in rows:
-            forward.profile_record(skey, fingerprint, "lg16", b, j, s)
-        for b, j, s in reversed(rows):
-            backward.profile_record(skey, fingerprint, "lg16", b, j, s)
-        plans = []
-        for table in (forward, backward):
-            planner = Planner()
-            planner._profiles = lambda t=table: t
-            plans.append(planner.plan_execution(
-                fp, 256, 256, schedule=result.schedule,
-                is_doall=result.is_doall))
-        assert plans[0] == plans[1]
-        assert plans[0].backend == "compiled"
+    def test_record_is_a_no_op(self, fig2):
+        assert Planner().record(_plan(fig2), 0.004) is False
 
 
 class TestPlannerObservability:
@@ -380,8 +256,9 @@ class TestPlannerObservability:
         assert reg.counter("plan.selects").value == before + 1
         assert reg.counter(f"plan.source.{plan.source}").value >= 1
         assert reg.counter(f"plan.backend.{plan.backend}").value >= 1
-        recent = plan_snapshot()["recent"]
-        assert recent and recent[-1] == plan.to_dict()
+        counters = plan_snapshot()["counters"]
+        assert counters["plan.selects"] == before + 1
+        assert all(name.startswith("plan.") for name in counters)
 
     def test_select_emits_trace_span(self, fig2):
         _, fp, result = fig2
@@ -390,56 +267,13 @@ class TestPlannerObservability:
                 fp, 24, 24, schedule=result.schedule,
                 is_doall=result.is_doall)
         (span,) = [s for s in tracer.spans() if s.name == "plan.select"]
-        assert span.attributes["bucket"] == "lg8"
+        assert span.attributes["n"] == 24
         assert span.attributes["backend"] in backend_names()
-        assert span.attributes["source"] in ("profile", "model")
+        assert span.attributes["source"] == "rule"
 
     def test_plan_to_dict_is_json_shaped(self, fig2):
         d = _plan(fig2).to_dict()
-        assert set(d) == {"backend", "jobs", "tile", "source", "rationale",
-                          "skey", "bucket", "fingerprint", "estS"}
-
-
-# ------------------------------------------------------------------ #
-# feedback recording and its gate
-# ------------------------------------------------------------------ #
-
-
-class TestRecordGate:
-    def test_record_feeds_the_profile_tier(self, fig2):
-        plan = _plan(fig2)
-        assert Planner().record(plan, 0.004) is True
-        warm = _plan(fig2)
-        assert warm.source == "profile"
-        assert (warm.backend, warm.jobs) == (plan.backend, plan.jobs)
-
-    def test_memo_kill_switch_blocks_recording(self, fig2, monkeypatch):
-        plan = _plan(fig2)
-        monkeypatch.setenv("REPRO_FUSE_MEMO", "0")
-        assert Planner().record(plan, 0.004) is False
-        monkeypatch.delenv("REPRO_FUSE_MEMO")
-        assert _plan(fig2).source == "model"  # nothing was written
-
-    def test_work_limiting_budget_blocks_recording(self, fig2):
-        from repro.resilience import Budget
-
-        plan = _plan(fig2)
-        probe = Budget(max_nodes=1)
-        assert Planner().record(plan, 0.004, budget=probe) is False
-        assert _plan(fig2).source == "model"
-
-    def test_active_fault_injection_blocks_recording(self, fig2):
-        from repro.resilience.faults import EdgeWeightCorruption, inject
-
-        plan = _plan(fig2)
-        with inject(EdgeWeightCorruption(), seed=3):
-            assert Planner().record(plan, 0.004) is False
-        assert _plan(fig2).source == "model"
-
-    def test_keyless_plan_is_not_recorded(self, fig2):
-        plan = ExecutionPlan(backend="interp", jobs=1, tile=DEFAULT_TILE,
-                             source="model", rationale="x")
-        assert Planner().record(plan, 0.004) is False
+        assert set(d) == {"backend", "source", "rationale"}
 
 
 # ------------------------------------------------------------------ #
@@ -447,20 +281,11 @@ class TestRecordGate:
 # ------------------------------------------------------------------ #
 
 
-def _gallery():
-    sources = {"fig2": figure2_code(), "iir2d": iir2d_code()}
-    for k in extended_kernels():
-        sources[k.key] = k.code
-    return [(key, *_fused(src)) for key, src in sorted(sources.items())]
-
-
-_GALLERY = _gallery()
 _SIZES = [(5, 7), (17, 23)]
 
 
 class TestAutoBitIdentity:
-    @pytest.mark.parametrize("key,nest,fp,result", _GALLERY,
-                             ids=[w[0] for w in _GALLERY])
+    @pytest.mark.parametrize("key,nest,fp,result", _GALLERY, ids=_IDS)
     @pytest.mark.parametrize("n,m", _SIZES, ids=[f"{n}x{m}" for n, m in _SIZES])
     def test_cold_auto_matches_interp(self, key, nest, fp, result, n, m):
         ref = ArrayStore.for_program(nest, n, m, seed=11)
@@ -470,33 +295,67 @@ class TestAutoBitIdentity:
                       schedule=result.schedule, is_doall=result.is_doall)
         assert ref.equal(got), f"auto diverged from interp on {key}"
 
-    @pytest.mark.parametrize("key,nest,fp,result", _GALLERY,
-                             ids=[w[0] for w in _GALLERY])
+    @pytest.mark.parametrize("key,nest,fp,result", _GALLERY, ids=_IDS)
     def test_warm_auto_matches_every_static_backend(self, key, nest, fp,
                                                     result):
         n, m = 17, 23
         ref = ArrayStore.for_program(nest, n, m, seed=11)
         run_fused(fp, n, m, store=ref, mode="serial")
-        skey = structural_hash(fp.retimed_mldg)
-        for backend in backend_names():
+        for backend in (*backend_names(), "auto"):
             got = ArrayStore.for_program(nest, n, m, seed=11)
             execute_fused(backend, fp, n, m, store=got,
-                          schedule=result.schedule,
-                          is_doall=result.is_doall, jobs=2)
-            assert ref.equal(got), f"{backend} diverged on {key}"
-            # warm the profile tier toward this backend, then re-check auto
-            memory_profiles().profile_record(
-                skey, current_fingerprint(), size_bucket(n, m),
-                backend, 2 if backend == "parallel" else 1, 1e-6)
-            auto = ArrayStore.for_program(nest, n, m, seed=11)
-            execute_fused("auto", fp, n, m, store=auto,
                           schedule=result.schedule, is_doall=result.is_doall)
-            assert ref.equal(auto), (
-                f"auto diverged on {key} warmed toward {backend}")
+            assert ref.equal(got), f"{backend} diverged on {key}"
 
 
 # ------------------------------------------------------------------ #
-# session integration: execute_fused through the planner + L2 profiles
+# the removed parallel backend's name, everywhere it was accepted
+# ------------------------------------------------------------------ #
+
+
+_COMPAT_SIZES = [(5, 7), (24, 24)]
+
+
+@pytest.fixture(scope="module")
+def wire_service():
+    with CompileService(ServeConfig(workers=1)) as svc:
+        yield svc
+
+
+@pytest.mark.parametrize("key,nest,fp,result", _GALLERY, ids=_IDS)
+@pytest.mark.parametrize("n,m", _COMPAT_SIZES, ids=[f"{n}x{m}" for n, m in _COMPAT_SIZES])
+def test_parallel_name_resolves_like_auto(key, nest, fp, result, n, m,
+                                          wire_service, tmp_path, capsys):
+    # execute_fused: bit-identical to interp, exactly one warning
+    ref = ArrayStore.for_program(nest, n, m, seed=11)
+    run_fused(fp, n, m, store=ref, mode="serial")
+    got = ArrayStore.for_program(nest, n, m, seed=11)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        execute_fused("parallel", fp, n, m, store=got, jobs=2, tile=16,
+                      schedule=result.schedule, is_doall=result.is_doall)
+    assert ref.equal(got), f"parallel diverged from interp on {key}"
+    assert [w.category for w in caught] == [DeprecationWarning]
+
+    # the repro-serve/1 wire: ok, with a concrete backend and a note
+    source = dict(_gallery_sources())[key]
+    resp = wire_service.handle(request_from_program(key, source, backend="parallel"))
+    assert resp.status == "ok"
+    assert resp.backend in backend_names()
+    assert any("'parallel' was removed" in note for note in resp.notes)
+
+    # the CLI: exit 0 with a note on stderr
+    path = tmp_path / f"{key}.loop"
+    path.write_text(source)
+    assert main(["run", str(path), "--backend", "parallel",
+                 "--size", f"{n},{m}", "--no-emit"]) == 0
+    captured = capsys.readouterr()
+    assert "'parallel' was removed" in captured.err
+    assert "bit-identical to interpreter" in captured.out
+
+
+# ------------------------------------------------------------------ #
+# session integration: execute_fused through the planner
 # ------------------------------------------------------------------ #
 
 
@@ -507,7 +366,7 @@ class TestSessionIntegration:
             caches=SessionCaches.private(),
         )
 
-    def test_auto_session_executes_and_persists_profiles(self, tmp_path):
+    def test_auto_session_executes_bit_identically(self, tmp_path):
         session = self._session(tmp_path / "plan.db")
         out = session.fuse_program(figure2_code())
         n = m = 12
@@ -518,21 +377,6 @@ class TestSessionIntegration:
                               schedule=out.fusion.schedule,
                               is_doall=out.fusion.is_doall)
         assert ref.equal(got)
-        assert session.caches.store.profile_count() >= 1
-        session.caches.store.close()
-
-    def test_cold_then_warm_reuses_the_measurement(self, tmp_path):
-        session = self._session(tmp_path / "plan.db")
-        out = session.fuse_program(figure2_code())
-        reg = obs.default_registry()
-        for _ in range(2):
-            got = ArrayStore.for_program(out.nest, 12, 12, seed=11)
-            session.execute_fused(out.fused, 12, 12, store=got,
-                                  schedule=out.fusion.schedule,
-                                  is_doall=out.fusion.is_doall)
-        # second decision had a row to read: the profile tier was hit
-        assert reg.counter("store.profile_hits").value >= 1
-        assert reg.counter("plan.records").value >= 2
         session.caches.store.close()
 
     def test_explicit_backend_skips_planner_choice(self, tmp_path):

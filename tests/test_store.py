@@ -224,6 +224,42 @@ class TestCorruption:
         reopened.put("k2", "fp", 2)
         assert reopened.get("k2", "fp") == 2
 
+    def test_schema_1_file_with_profile_rows_is_rebuilt(self, tmp_path, capsys):
+        # the layout schema 1 wrote, execution-profile table included
+        path = str(tmp_path / "v1.db")
+        with sqlite3.connect(path) as conn:
+            conn.executescript(
+                "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+                "CREATE TABLE entries (skey TEXT NOT NULL, fingerprint TEXT NOT NULL,"
+                " payload TEXT NOT NULL, checksum TEXT NOT NULL,"
+                " created_s REAL NOT NULL, last_used_s REAL NOT NULL,"
+                " hits INTEGER NOT NULL DEFAULT 0, PRIMARY KEY (skey, fingerprint));"
+                "CREATE TABLE profiles (skey TEXT NOT NULL, fingerprint TEXT NOT NULL,"
+                " bucket TEXT NOT NULL, backend TEXT NOT NULL, jobs INTEGER NOT NULL,"
+                " runs INTEGER NOT NULL DEFAULT 0, total_s REAL NOT NULL DEFAULT 0,"
+                " best_s REAL NOT NULL, last_used_s REAL NOT NULL,"
+                " PRIMARY KEY (skey, fingerprint, bucket, backend, jobs));"
+                "INSERT INTO meta VALUES ('schema_version', '1');"
+                "INSERT INTO entries VALUES ('k', 'fp', '{}', 'x', 0, 0, 0);"
+                "INSERT INTO profiles VALUES ('k', 'fp', 'lg8', 'parallel', 2, 3, 0.3, 0.1, 0);"
+            )
+        assert STORE_SCHEMA_VERSION > 1
+        before = _counter("store.schema_mismatch")
+        store = CompileStore(path)
+        assert store.get("k", "fp") is None  # a clean miss, no exception
+        assert _counter("store.schema_mismatch") == before + 1
+        stats = store.stats()
+        assert not stats.disabled and stats.entries == 0
+        assert stats.schema_version == STORE_SCHEMA_VERSION
+        store.close()
+        with sqlite3.connect(path) as conn:
+            tables = {r[0] for r in conn.execute("SELECT name FROM sqlite_master")}
+        assert "profiles" not in tables
+        from repro.cli import main
+
+        assert main(["cache", "verify", "--store", path]) == 0
+        assert "CLEAN" in capsys.readouterr().out
+
 
 class TestFingerprint:
     def test_deterministic_and_parameter_sensitive(self):
