@@ -18,7 +18,7 @@ Injection points:
 - ``"retiming"`` — the retiming an algorithm produced
 - ``"schedule"`` — the wavefront schedule vector
 - ``"body-order"`` — the fused-body statement sequence before emission
-- ``"worker"`` — the compile request inside a pool worker *process*
+- ``"worker"`` — the compile request inside a serve worker *process*
   (:mod:`repro.serve.worker`).  The injectors at this point simulate
   infrastructure faults rather than algorithm bugs: :class:`WorkerCrash`
   SIGKILLs the worker mid-request, :class:`WorkerHang` stalls it past any
@@ -198,8 +198,9 @@ class WorkerCrash(FaultInjector):
 
     Fires with ``probability`` per :func:`pass_through` hit, drawing from
     the context rng so a ``(seed, attempt)`` pair replays exactly.  The
-    supervisor observes the crash as a broken pool, replaces the pool and
-    re-dispatches; a lower probability lets seeded retries survive.
+    supervisor sees the worker's process exit, restarts that one worker
+    and retries the request; a lower probability lets seeded retries
+    survive.
 
     Only the ``"worker"`` point inside serve worker processes ever reaches
     this injector, so it is safe to register in the global matrix.
@@ -224,8 +225,9 @@ class WorkerCrash(FaultInjector):
 
 class WorkerHang(FaultInjector):
     """Stall the current worker for ``hang_s`` seconds — the hung-worker
-    chaos injector.  The supervisor observes a request timeout, kills the
-    pool generation (SIGKILL beats any sleep) and re-dispatches survivors.
+    chaos injector.  The supervisor observes a request timeout, SIGKILLs
+    and restarts that one worker (SIGKILL beats any sleep) and serves the
+    request from its in-process fallback.
 
     Returns a shallow copy of the value when it fired so the context's
     ``hits`` accounting registers the stall.

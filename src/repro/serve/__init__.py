@@ -6,16 +6,16 @@ deadlines feasible.  This package is the cross-process robustness layer on
 top of :mod:`repro.core`'s batch compilation (docs/SERVING.md):
 
 * **wire** -- the ``repro-serve/1`` JSON request/response envelopes
-  (picklable, so the same shapes ride the process pool and HTTP).
-* **worker** -- the function executed inside pool worker processes, plus
-  the process-level chaos seam (seeded worker SIGKILL / hang injection).
-* **supervisor** -- a generation-counted :class:`SupervisedPool` that
-  detects broken pools and hung workers, replaces the pool and lets every
-  in-flight request re-dispatch itself.
+  (picklable, so the same shapes ride the worker pipes and HTTP).
+* **worker** -- the loop executed inside worker processes, plus the
+  process-level chaos seam (seeded worker SIGKILL / hang injection).
+* **supervisor** -- :class:`Supervisor`, N owned worker processes with
+  one pipe and one request each; a dead or hung worker is SIGKILLed and
+  replaced alone, so a fault costs only the request that was on it.
 * **admission** -- inflight quotas with load shedding (typed 429-style
   rejections carrying ``Retry-After`` estimates).
 * **breaker** -- per-workload-class circuit breakers keyed by
-  ``structural_hash`` so one pathological program cannot burn the pool.
+  ``structural_hash`` so one pathological program cannot burn the workers.
 * **service** -- :class:`CompileService`: retry + exponential backoff +
   jitter per request, degrading onto the in-process resilience ladder on
   the final attempt instead of erroring.
@@ -27,7 +27,7 @@ top of :mod:`repro.core`'s batch compilation (docs/SERVING.md):
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.service import CompileService, ServeConfig
-from repro.serve.supervisor import SupervisedPool
+from repro.serve.supervisor import Supervisor
 from repro.serve.wire import (
     SERVE_SCHEMA,
     SV001,
@@ -56,6 +56,6 @@ __all__ = [
     "CompileResponse",
     "CompileService",
     "ServeConfig",
-    "SupervisedPool",
+    "Supervisor",
     "WireError",
 ]

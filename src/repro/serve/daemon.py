@@ -7,7 +7,7 @@ lives in :class:`~repro.serve.service.CompileService`.  Endpoints:
 ========================= ============================================
 ``POST /v1/compile``      one request dict -> one response dict
 ``POST /v1/batch``        ``{"programs": [request, ...]}`` -> responses
-``GET /healthz``          liveness + pool generation
+``GET /healthz``          liveness + worker restarts
 ``GET /statz``            service snapshot + serve.* metric counters
 ========================= ============================================
 
@@ -73,6 +73,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # headers and body go out in two send() calls; with Nagle on, a
+    # keep-alive client's delayed ACK holds the body back ~40 ms
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> CompileService:
@@ -87,7 +90,7 @@ class _Handler(BaseHTTPRequestHandler):
                 {
                     "status": "ok",
                     "schema": SERVE_SCHEMA,
-                    "poolGeneration": self.service.pool.generation,
+                    "workerRestarts": self.service.supervisor.restarts,
                 },
             )
         elif self.path == "/statz":

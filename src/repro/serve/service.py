@@ -11,9 +11,10 @@ directly.  One request flows through four rings of defense:
    (keyed by structural hash, bootstrapped by source digest) that keep
    crashing/hanging workers -> instant ``rejected`` (``SV004``).
 3. **Supervised dispatch** (:mod:`repro.serve.supervisor`): the request
-   is compiled in a pool worker under its deadline.  A worker crash
-   (``SV001``) replaces the pool and retries with exponential backoff and
-   seeded jitter; a hang (``SV002``) SIGKILLs the pool generation.
+   takes an idle worker process and is compiled there, alone, under its
+   deadline.  A worker crash (``SV001``) restarts that one worker and
+   retries with exponential backoff and seeded jitter; a hang (``SV002``)
+   SIGKILLs and restarts that one worker.
 4. **Degraded fallback** (``SV005``): the *final* attempt never errors on
    infrastructure -- it compiles in-process through the resilience
    ladder's lower rungs under a small grace budget, so the client always
@@ -31,14 +32,12 @@ import random
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, CancelledError
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.serve import worker as serve_worker
-from repro.serve.supervisor import SupervisedPool
+from repro.serve.supervisor import Supervisor
 from repro.serve.wire import (
     SV001,
     SV002,
@@ -62,19 +61,16 @@ __all__ = ["CompileService", "ServeConfig"]
 MAX_HASH_ALIASES = 65_536
 
 
-class _AbandonedFuture(Exception):
-    """Our pool generation was replaced while the future was unresolved."""
-
-
-class _StalledFuture(Exception):
-    """The future sat pending past the stall cap; presumed lost."""
+def _seconds(ms: Optional[float], reserve_ms: float = 0.0) -> Optional[float]:
+    """A remaining budget in ms, less ``reserve_ms``, as a wait timeout."""
+    return None if ms is None else max(0.0, ms - reserve_ms) / 1000.0
 
 
 @dataclass
 class ServeConfig:
     """Tunables for one :class:`CompileService` (docs/SERVING.md)."""
 
-    #: Pool worker processes.
+    #: Worker processes.
     workers: int = 2
     #: Admission quota; ``None`` = ``workers * 4`` (two dispatch rounds of
     #: headroom per worker before shedding starts).
@@ -99,10 +95,6 @@ class ServeConfig:
     fallback_grace_ms: float = 250.0
     #: Below this remaining budget a worker round-trip is pointless.
     min_attempt_ms: float = 5.0
-    #: A future still *pending* after this long is presumed lost (admission
-    #: bounds the backlog, so a healthy pool drains far faster) and is
-    #: resubmitted without penalty; a second stall replaces the pool.
-    stall_ms: float = 2_000.0
     #: Honor request ``fault`` specs in workers (chaos testing only).
     allow_faults: bool = False
     #: Seed for the backoff-jitter rng (deterministic load tests).
@@ -129,15 +121,15 @@ class ServeConfig:
 
 
 class CompileService:
-    """A fault-tolerant compile service over a supervised process pool."""
+    """A fault-tolerant compile service over supervised worker processes."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         from repro.serve.admission import AdmissionController
         from repro.serve.breaker import CircuitBreaker
 
         self.config = config if config is not None else ServeConfig()
-        # resolve before the pool exists so a bad variant name fails fast
-        # without leaking worker processes
+        # resolve before the workers exist so a bad variant name fails
+        # fast without leaking worker processes
         self._ladder_labels = self._resolve_config_ladder()
         from repro.core.backends import backend_names, selectable_backends
 
@@ -146,10 +138,9 @@ class CompileService:
                 f"unknown execution backend {self.config.backend!r}; "
                 f"known: {list(backend_names()) + ['auto']}"
             )
-        self.pool = SupervisedPool(
-            self.config.workers,
-            initializer=serve_worker.init_worker,
-            initargs=(self.config.allow_faults,),
+        # forked here, before any HTTP thread exists
+        self.supervisor = Supervisor(
+            self.config.workers, allow_faults=self.config.allow_faults
         )
         self.admission = AdmissionController(
             self.config.resolved_max_inflight(),
@@ -245,7 +236,7 @@ class CompileService:
                     )
                 finally:
                     # a half-open probe that ended on an uncharged path
-                    # (abandoned/stalled future, fallback, internal error)
+                    # (queue timeout, fallback, internal error)
                     # must not leave the class stuck probing forever; the
                     # key is re-resolved because the fallback may have
                     # rekeyed the class mid-request
@@ -259,100 +250,65 @@ class CompileService:
         return resp
 
     # ------------------------------------------------------------------ #
-    # dispatch: retry + backoff + pool replacement
+    # dispatch: retry + backoff + worker restart
     # ------------------------------------------------------------------ #
 
     def _dispatch(
         self, req: CompileRequest, budget: Any, key: str
     ) -> CompileResponse:
         reg = obs.default_registry()
-        attempts = crashes = timeouts = stalls = 0
+        attempts = crashes = timeouts = 0
         last_code: Optional[str] = None
         queue_ms: Optional[float] = None
-        t_start = time.perf_counter()
         while attempts < self.config.max_attempts:
             remaining = budget.remaining_ms()
             if remaining is not None and remaining <= self.config.min_attempt_ms:
                 last_code = last_code or SV002
                 break
-            attempts += 1
-            wire = req.to_dict()
-            wire["attempt"] = attempts - 1
-            wire["deadlineMs"] = remaining
-            if req.ladder is None and self._ladder_labels is not None:
-                # the config-level default descent rides the wire so the
-                # worker compiles the same ladder the fallback would
-                wire["ladder"] = list(self._ladder_labels)
-            if wire.get("backend", "interp") == "interp":
-                # config-level backend applies to requests that kept the
-                # wire default; an explicit non-default request wins
-                wire["backend"] = self.config.backend
-            if wire.get("storePath") is None and self.config.store_path is not None:
-                # the daemon-wide L2 store rides the wire; each worker
-                # opens its own handle on the shared sqlite file
-                wire["storePath"] = self.config.store_path
-            if queue_ms is None:
-                queue_ms = round((time.perf_counter() - t_start) * 1000.0, 3)
-            future, generation = self.pool.submit(
-                serve_worker.compile_request, wire
+            t_wait = time.perf_counter()
+            worker = self.supervisor.acquire(
+                _seconds(remaining, self.config.min_attempt_ms)
             )
-            ran = {"running": False}
-            try:
-                resp_dict = self._await(future, generation, remaining, ran)
-                resp = CompileResponse.from_dict(resp_dict)
-            except FuturesTimeoutError:
+            queue_ms = (queue_ms or 0.0) + (time.perf_counter() - t_wait) * 1000.0
+            if worker is None:  # no worker came free within the budget
                 timeouts += 1
                 reg.counter("serve.timeouts").inc()
                 last_code = SV002
-                if ran["running"] or future.running():
-                    # the request is *running* on a hung worker: SIGKILL
-                    # the generation so its siblings re-dispatch promptly
-                    self.pool.replace(generation, "hung-worker")
-                    self.breaker.record_failure(key)
-                continue  # deadline is spent; the loop exits to fallback
-            except _AbandonedFuture:
-                # our generation died under us; the pool is already fresh
-                # and we never learned whether *we* were the cause, so the
-                # breaker is not charged
+                break
+            attempts += 1
+            remaining = budget.remaining_ms()
+            wire = self._wire(req, attempts - 1, remaining)
+            # one request per worker: whatever goes wrong on it is this
+            # request's doing, so each fault restarts only this worker
+            # and charges this request's class
+            try:
+                resp = CompileResponse.from_dict(worker.call(wire, _seconds(remaining)))
+            except EOFError:
                 crashes += 1
                 reg.counter("serve.worker_crashes").inc()
                 last_code = SV001
+                self.supervisor.restart(worker, "crash")
+                self.breaker.record_failure(key)
                 if attempts < self.config.max_attempts:
                     reg.counter("serve.retries").inc()
                     self._backoff(attempts, budget)
                 continue
-            except _StalledFuture:
-                stalls += 1
-                reg.counter("serve.stalls").inc()
+            except TimeoutError:
+                timeouts += 1
+                reg.counter("serve.timeouts").inc()
                 last_code = SV002
-                if stalls >= 2:
-                    # one lost item can be bad luck; two means the pool is
-                    # not draining -- replace it
-                    self.pool.replace(generation, "stalled-dispatch")
-                if attempts < self.config.max_attempts:
-                    reg.counter("serve.retries").inc()
-                continue
-            except (BrokenExecutor, CancelledError, EOFError, OSError):
-                crashes += 1
-                reg.counter("serve.worker_crashes").inc()
-                last_code = SV001
-                self.pool.replace(generation, "worker-crash")
-                if ran["running"]:
-                    # we were on a worker when the pool died -- plausibly
-                    # the culprit; queued bystanders are not charged
-                    self.breaker.record_failure(key)
-                if attempts < self.config.max_attempts:
-                    reg.counter("serve.retries").inc()
-                    self._backoff(attempts, budget)
-                continue
+                self.supervisor.restart(worker, "hang")
+                self.breaker.record_failure(key)
+                break  # the deadline is spent: on to the fallback
             except WireError:
                 # a worker answered gibberish; treat like a crash
                 crashes += 1
                 reg.counter("serve.worker_crashes").inc()
                 last_code = SV001
-                self.pool.replace(generation, "worker-babble")
+                self.supervisor.restart(worker, "babble")
                 self.breaker.record_failure(key)
                 continue
+            self.supervisor.release(worker)
             # a well-formed worker response -- the infrastructure is fine,
             # whatever the compile outcome was
             self.breaker.record_success(key)
@@ -363,75 +319,31 @@ class CompileService:
                     f"{crashes} crash(es) and {timeouts} timeout(s)"
                 )
             return self._finalize(resp, attempts, crashes, timeouts, queue_ms)
-        return self._fallback(
-            req, budget, attempts, crashes, timeouts, last_code, queue_ms
-        )
+        with self.supervisor.hold_forks():  # it compiles in this process
+            return self._fallback(
+                req, budget, attempts, crashes, timeouts, last_code, queue_ms
+            )
 
-    def _await(
-        self,
-        future: Any,
-        generation: int,
-        remaining: Optional[float],
-        ran: Dict[str, bool],
-    ) -> Any:
-        """Wait for a worker future, but never trust it blindly.
-
-        Two pathologies make a plain ``future.result(deadline)`` waste the
-        request's whole budget: a future of a *replaced* generation may
-        never be notified of the break (the SIGKILLed executor can lose
-        the race between ``cancel_futures`` and its queue-management
-        thread), and a pool can silently lose a work item.  So wait in
-        short slices, noting whether the future ever actually *runs*
-        (``ran``, the breaker-attribution signal), and bail out early:
-
-        * stale generation + unresolved -> :class:`_AbandonedFuture`;
-        * still pending past ``stall_ms`` -> :class:`_StalledFuture`
-          (admission bounds the backlog, so a healthy pool would have
-          started it long before);
-        * deadline exhausted -> :class:`FuturesTimeoutError`.
-
-        No future is ever ``cancel()``-ed here -- a cancelled future makes
-        a concurrently breaking executor's ``terminate_broken`` raise and
-        strand its siblings (see :meth:`SupervisedPool._terminate`).
-        """
-        t0 = time.perf_counter()
-        deadline = t0 + remaining / 1000.0 if remaining is not None else None
-        stall_s = self.config.stall_ms / 1000.0
-        while True:
-            if future.running():
-                ran["running"] = True
-            slice_s = 0.05
-            if deadline is not None:
-                left = deadline - time.perf_counter()
-                if left <= 0:
-                    raise FuturesTimeoutError()
-                slice_s = min(slice_s, left)
-            try:
-                return future.result(timeout=slice_s)
-            except FuturesTimeoutError:
-                if future.running():
-                    ran["running"] = True
-                if deadline is not None and time.perf_counter() >= deadline:
-                    raise
-                if self.pool.generation != generation and not future.done():
-                    # do NOT cancel: the dying executor's terminate_broken
-                    # may be about to set_exception on this future, and a
-                    # concurrent cancel makes that raise InvalidStateError
-                    # inside its management thread (CPython 3.11)
-                    raise _AbandonedFuture(
-                        f"pool generation {generation} was replaced"
-                    ) from None
-                if (
-                    not ran["running"]
-                    and not future.done()
-                    and time.perf_counter() - t0 >= stall_s
-                ):
-                    # no cancel (see _terminate): if the item does run
-                    # later, the compile is deterministic and idempotent,
-                    # so a duplicate execution only wastes a slot
-                    raise _StalledFuture(
-                        f"pending for {self.config.stall_ms:.0f} ms"
-                    ) from None
+    def _wire(
+        self, req: CompileRequest, attempt: int, remaining: Optional[float]
+    ) -> Dict[str, Any]:
+        """The request dict for one worker attempt, config defaults stamped."""
+        wire = req.to_dict()
+        wire["attempt"] = attempt
+        wire["deadlineMs"] = remaining
+        if req.ladder is None and self._ladder_labels is not None:
+            # the config-level default descent rides the wire so the
+            # worker compiles the same ladder the fallback would
+            wire["ladder"] = list(self._ladder_labels)
+        if wire.get("backend", "interp") == "interp":
+            # config-level backend applies to requests that kept the
+            # wire default; an explicit non-default request wins
+            wire["backend"] = self.config.backend
+        if wire.get("storePath") is None and self.config.store_path is not None:
+            # the daemon-wide L2 store rides the wire; each worker
+            # opens its own handle on the shared sqlite file
+            wire["storePath"] = self.config.store_path
+        return wire
 
     def _backoff(self, attempt: int, budget: Any) -> None:
         """Exponential backoff with seeded jitter, clamped to the budget."""
@@ -584,7 +496,7 @@ class CompileService:
         resp.retries = max(0, attempts - 1)
         resp.worker_crashes = crashes
         resp.timeouts = timeouts
-        resp.queue_ms = queue_ms
+        resp.queue_ms = None if queue_ms is None else round(queue_ms, 3)
         return resp
 
     # ------------------------------------------------------------------ #
@@ -618,31 +530,34 @@ class CompileService:
 
     def snapshot(self) -> Dict[str, Any]:
         """Operational state for ``/statz`` and the loadgen report."""
-        from repro.plan import plan_snapshot
+        # plan_snapshot's first call imports, and the store stats hold a
+        # store handle's lock across sqlite I/O: neither may meet a fork
+        with self.supervisor.hold_forks():
+            from repro.plan import plan_snapshot
 
-        snap: Dict[str, Any] = {
-            "uptimeS": round(time.monotonic() - self._started, 3),
-            "workers": self.config.workers,
-            "poolGeneration": self.pool.generation,
-            "admission": self.admission.snapshot(),
-            "breaker": self.breaker.snapshot(),
-            "workloadClasses": len(self._hash_by_digest),
-            # plan.* counters of *this* process (the fallback path;
-            # worker-side plans travel in response envelopes) plus the
-            # configured default backend the dispatch stamps
-            "plan": {"backend": self.config.backend, **plan_snapshot()},
-        }
-        if self.config.store_path is not None:
-            # file-level stats: entries and storedHits aggregate the whole
-            # fleet's traffic (worker-local counters never leave their
-            # process, but every hit bumps the row in the shared file)
-            from repro.store import open_store
+            snap: Dict[str, Any] = {
+                "uptimeS": round(time.monotonic() - self._started, 3),
+                "workers": self.config.workers,
+                "workerRestarts": self.supervisor.restarts,
+                "admission": self.admission.snapshot(),
+                "breaker": self.breaker.snapshot(),
+                "workloadClasses": len(self._hash_by_digest),
+                # plan.* counters of *this* process (the fallback path;
+                # worker-side plans travel in response envelopes) plus the
+                # configured default backend the dispatch stamps
+                "plan": {"backend": self.config.backend, **plan_snapshot()},
+            }
+            if self.config.store_path is not None:
+                # file-level stats: entries and storedHits aggregate the whole
+                # fleet's traffic (worker-local counters never leave their
+                # process, but every hit bumps the row in the shared file)
+                from repro.store import open_store
 
-            snap["store"] = open_store(self.config.store_path).stats().to_dict()
-        return snap
+                snap["store"] = open_store(self.config.store_path).stats().to_dict()
+            return snap
 
     def shutdown(self) -> None:
-        self.pool.shutdown()
+        self.supervisor.shutdown()
 
     def __enter__(self) -> "CompileService":
         return self

@@ -1,7 +1,7 @@
 """The ``repro-serve/1`` wire schema.
 
-One request/response envelope pair shared by every transport: the process
-pool (:mod:`repro.serve.worker` receives the request *dict* and returns
+One request/response envelope pair shared by every transport: the worker
+pipes (:mod:`repro.serve.worker` receives the request *dict* and returns
 the response *dict* -- both are plain picklable primitives), the HTTP
 daemon (:mod:`repro.serve.daemon` serializes the same dicts as JSON) and
 :meth:`repro.core.Session.fuse_many`'s process-pool mode.
@@ -97,8 +97,8 @@ class CompileRequest:
 
     ``fault`` is the process-level chaos seam: a spec like
     ``{"injector": "WorkerCrash", "seed": 3}`` that the *worker* honors
-    only when the pool was started with faults allowed (``--chaos`` /
-    :func:`repro.serve.worker.init_worker`).  ``attempt`` is stamped by
+    only when it was started with faults allowed (``--chaos`` /
+    :func:`repro.serve.worker.serve`).  ``attempt`` is stamped by
     the service before each dispatch so seeded injectors can vary their
     decision across retries (seed + attempt replays exactly).
     """

@@ -1,28 +1,31 @@
-"""The code that runs *inside* pool worker processes.
+"""The code that runs *inside* serve worker processes.
 
-:func:`compile_request` is the single entry point the supervisor submits
-to the :class:`~concurrent.futures.ProcessPoolExecutor`.  Its contract is
-the backbone of the service's fault model:
+:func:`serve` is the main loop of every worker the
+:class:`~repro.serve.supervisor.Supervisor` forks: receive one request
+dict on the worker's pipe, run :func:`compile_request`, send the response
+dict back, repeat.  The contract of :func:`compile_request` is the
+backbone of the service's fault model:
 
 * It takes and returns **plain dicts** (the ``repro-serve/1`` envelopes),
   so nothing unpicklable ever crosses the process boundary.
 * It **never raises**: every compile failure -- parse error, validation,
   fusion, budget exhaustion -- comes back as a well-formed ``error``
-  response.  The only ways a submission can fail at the future level are
-  infrastructure faults (the worker died, the pool broke), which is
-  exactly what the supervisor's retry logic keys on.
-* The **chaos seam**: when the pool was initialized with faults allowed
-  (:func:`init_worker`), a request's ``fault`` spec is entered via the
-  ordinary :func:`repro.resilience.faults.inject` context before the
-  compile, and the request passes through the ``"worker"`` injection
-  point.  A :class:`~repro.resilience.faults.WorkerCrash` SIGKILLs the
-  process right here; a :class:`~repro.resilience.faults.WorkerHang`
-  stalls it; algorithm-level injectors (``mldg``/``retiming``/...) ride
-  into the pipeline exactly like the in-process chaos matrix.
+  response.  The only ways a call can fail are infrastructure faults
+  (the worker died or stopped answering), which is exactly what the
+  supervisor's retry logic keys on.
+* The **chaos seam**: when the worker was started with faults allowed
+  (``serve(conn, allow_faults=True)``), a request's ``fault`` spec is
+  entered via the ordinary :func:`repro.resilience.faults.inject` context
+  before the compile, and the request passes through the ``"worker"``
+  injection point.  A :class:`~repro.resilience.faults.WorkerCrash`
+  SIGKILLs the process right here; a
+  :class:`~repro.resilience.faults.WorkerHang` stalls it;
+  algorithm-level injectors (``mldg``/``retiming``/...) ride into the
+  pipeline exactly like the in-process chaos matrix.
 
 Cache tiers (docs/SERVING.md, docs/CACHING.md): the fusion/retiming/
 kernel memo caches (L1) are **per-worker** -- fork-started workers inherit
-a warm copy of the parent's caches at pool creation and diverge
+a warm copy of the parent's caches when they are forked and diverge
 afterwards.  Cross-process sharing happens one tier down: when the
 request carries ``storePath`` (stamped by the service from its config),
 the worker's session reads through and writes through that sqlite L2
@@ -42,19 +45,25 @@ import time
 from contextlib import ExitStack
 from typing import Any, Dict, Optional
 
-__all__ = ["init_worker", "compile_request", "faults_allowed", "resolve_backend"]
+__all__ = ["serve", "compile_request", "faults_allowed", "resolve_backend"]
 
 _STATE: Dict[str, Any] = {"allow_faults": False}
 
 
-def init_worker(allow_faults: bool = False) -> None:
-    """Pool initializer: runs once in each fresh worker process.
+def serve(conn: Any, allow_faults: bool = False) -> None:
+    """Worker main loop: one request at a time off ``conn`` until EOF.
 
     ``allow_faults`` gates the chaos seam -- a production daemon started
     without ``--chaos`` ignores ``fault`` specs entirely, so a hostile
     request cannot SIGKILL workers.
     """
     _STATE["allow_faults"] = bool(allow_faults)
+    while True:
+        try:
+            req_dict = conn.recv()
+        except EOFError:
+            return
+        conn.send(compile_request(req_dict))
 
 
 def faults_allowed() -> bool:

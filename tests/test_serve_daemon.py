@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -63,7 +66,25 @@ class TestEndpoints:
         status, doc = _get(daemon.url, "/healthz")
         assert status == 200
         assert doc["status"] == "ok" and doc["schema"] == SERVE_SCHEMA
-        assert "poolGeneration" in doc
+        assert doc["workerRestarts"] == 0
+
+    def test_keepalive_requests_are_not_held_by_nagle(self, daemon):
+        # headers and body leave in two send() calls; with Nagle's
+        # algorithm on, the body waits ~40 ms for the client's delayed ACK
+        host, port = daemon.address
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        times = []
+        try:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                times.append((time.perf_counter() - t0) * 1000.0)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(times) < 10.0, times
 
     def test_compile_ok(self, daemon):
         status, doc, _ = _post(

@@ -1,6 +1,6 @@
 """The fault-tolerant compile service (repro.serve.service).
 
-The chaos-marked tests SIGKILL and hang real pool workers through the
+The chaos-marked tests SIGKILL and hang real worker processes through the
 seeded request-level fault specs; deselect with ``-m "not chaos"``.
 """
 
@@ -95,7 +95,7 @@ class TestHappyPath:
     def test_snapshot_shape(self, service):
         snap = service.snapshot()
         assert snap["workers"] == 2
-        assert "poolGeneration" in snap
+        assert snap["workerRestarts"] == 0
         assert "inflight" in snap["admission"]
         assert "trips" in snap["breaker"]
 
@@ -141,8 +141,8 @@ class TestRefusals:
 
     def test_uncharged_probe_path_does_not_wedge_the_class(self, monkeypatch):
         """REVIEW.md high: a half-open probe whose request ends on a path
-        that neither succeeds nor is charged as a failure (stalled or
-        abandoned future, internal error, fallback) must re-open the
+        that neither succeeds nor is charged as a failure (queue timeout,
+        internal error, fallback) must re-open the
         class, not leave it rejecting everyone forever."""
         with CompileService(
             ServeConfig(workers=1, breaker_cooldown_ms=300.0)
@@ -223,7 +223,7 @@ class TestSupervision:
         assert resp.well_formed
         assert resp.rung is not None and resp.recovery is not None
         assert resp.worker_crashes == chaos_service.config.max_attempts
-        # the pool survived: a clean request compiles right after
+        # the workers survived: a clean request compiles right after
         after = chaos_service.handle(request_from_program("ok", iir2d_code()))
         assert after.status == "ok"
 
@@ -240,8 +240,8 @@ class TestSupervision:
         assert resp.attempts == 2 and resp.worker_crashes == 1
         assert any("attempt 2" in note for note in resp.notes)
 
-    def test_hung_worker_times_out_and_pool_is_replaced(self, chaos_service):
-        generation_before = chaos_service.pool.generation
+    def test_hung_worker_times_out_and_only_it_is_restarted(self, chaos_service):
+        restarts_before = chaos_service.supervisor.restarts
         resp = chaos_service.handle(
             request_from_program(
                 "fig2", figure2_code(),
@@ -249,10 +249,53 @@ class TestSupervision:
             )
         )
         assert resp.well_formed
-        assert resp.status == "degraded" and resp.timeouts >= 1
-        assert chaos_service.pool.generation > generation_before
+        assert resp.status == "degraded" and resp.timeouts == 1
+        assert chaos_service.supervisor.restarts == restarts_before + 1
         after = chaos_service.handle(request_from_program("ok", iir2d_code()))
         assert after.status == "ok"
+
+
+def _side_by_side(svc, faulty):
+    """Serve ``faulty`` and a clean request concurrently on ``svc``'s two
+    workers; the two responses and the worker pids before and after."""
+    before = svc.supervisor.pids()
+    clean = request_from_program("clean", iir2d_code())
+    with ThreadPoolExecutor(max_workers=2) as clients:
+        bad_resp, clean_resp = clients.map(svc.handle, [faulty, clean])
+    return bad_resp, clean_resp, before, svc.supervisor.pids()
+
+
+@pytest.mark.chaos
+class TestContainment:
+    """A fault on one worker costs only the request that was on it."""
+
+    def test_crash_leaves_the_concurrent_request_alone(self):
+        # one attempt, so the crashing request cannot retry onto the
+        # worker the clean one has just handed back
+        with CompileService(
+            ServeConfig(workers=2, allow_faults=True, max_attempts=1)
+        ) as svc:
+            crash, clean, before, after = _side_by_side(
+                svc, request_from_program("fig2", figure2_code(), fault=_crash_spec())
+            )
+        assert clean.status == "ok" and clean.attempts == 1
+        assert clean.worker_crashes == 0
+        assert crash.status == "degraded" and crash.worker_crashes == 1
+        assert clean.worker_pid in before and clean.worker_pid in after
+        assert len(set(before) & set(after)) == 1  # only one worker restarted
+
+    def test_hang_leaves_the_concurrent_request_alone(self, chaos_service):
+        hang, clean, before, after = _side_by_side(
+            chaos_service,
+            request_from_program(
+                "fig2", figure2_code(), deadline_ms=1200.0, fault=_hang_spec()
+            ),
+        )
+        assert clean.status == "ok" and clean.attempts == 1
+        assert clean.worker_crashes == 0 and clean.timeouts == 0
+        assert hang.status == "degraded" and hang.timeouts == 1
+        assert clean.worker_pid in before and clean.worker_pid in after
+        assert len(set(before) & set(after)) == 1  # only the hung one went
 
 
 def _reference_responses(requests):
@@ -303,7 +346,7 @@ class TestAcceptance:
             with ThreadPoolExecutor(max_workers=8) as clients:
                 responses = list(clients.map(svc.handle, requests))
             snap = svc.snapshot()
-            # the supervisor survived; the pool still serves
+            # the supervisor survived; the workers still serve
             final = svc.handle(request_from_program("final", figure2_code()))
 
         assert len(responses) == 50
@@ -316,7 +359,7 @@ class TestAcceptance:
         ]
         assert not infra_errors, f"unexpected errors: {infra_errors}"
         assert final.status == "ok"
-        assert snap["poolGeneration"] >= 1  # the chaos really bit
+        assert snap["workerRestarts"] >= 1  # the chaos really bit
 
         reference = _reference_responses(requests)
         for req, resp in zip(requests, responses):
