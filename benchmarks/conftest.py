@@ -5,27 +5,19 @@ evaluation (see DESIGN.md's per-experiment index) and also times its core
 algorithm with pytest-benchmark.  The reproduction tables are printed
 through the ``report`` fixture so they appear in the terminal (and hence in
 ``bench_output.txt``) even under pytest's output capture, and are archived
-under ``results/``.
-
-Performance-trajectory records (``repro.perf.bench.BenchRecord``) collected
-through the ``perf_record`` fixture are additionally archived as
-machine-readable ``BENCH_perf.json`` at the repository root when the
-session ends -- per-benchmark medians with spread, backend, iteration-space
-size and the memo/kernel cache statistics, in the same schema
-``repro-fuse bench --format json`` prints.
+under ``results/``.  A module's results file is rewritten the first time
+it reports in a session, so running one module leaves the others' files
+alone.  Performance is measured by ``python3 bench/run.py`` (bench/README.md).
 """
 
 from __future__ import annotations
 
 import pathlib
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Set
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-PERF_JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-
-_PERF_RECORDS: List = []
 
 
 def format_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -44,9 +36,12 @@ def format_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -
 class Reporter:
     """Prints reproduction tables to the live terminal and archives them."""
 
-    def __init__(self, capsys: pytest.CaptureFixture, slug: str) -> None:
+    def __init__(
+        self, capsys: pytest.CaptureFixture, slug: str, started: Set[str]
+    ) -> None:
         self._capsys = capsys
         self._slug = slug
+        self._started = started  # slugs whose file this session truncated
         RESULTS_DIR.mkdir(exist_ok=True)
 
     def table(self, title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -57,41 +52,22 @@ class Reporter:
         with self._capsys.disabled():
             print(text)
         path = RESULTS_DIR / f"{self._slug}.txt"
-        with open(path, "a", encoding="utf-8") as fh:
+        mode = "a" if self._slug in self._started else "w"
+        self._started.add(self._slug)
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
+@pytest.fixture(scope="session")
+def _started_slugs() -> Set[str]:
+    return set()
+
+
 @pytest.fixture
-def report(capsys: pytest.CaptureFixture, request: pytest.FixtureRequest) -> Reporter:
+def report(
+    capsys: pytest.CaptureFixture,
+    request: pytest.FixtureRequest,
+    _started_slugs: Set[str],
+) -> Reporter:
     slug = pathlib.Path(request.node.fspath).stem
-    return Reporter(capsys, slug)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _clear_results() -> None:
-    """Start each benchmark session with a clean results directory."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    for f in RESULTS_DIR.glob("bench_*.txt"):
-        f.unlink()
-
-
-@pytest.fixture
-def perf_record():
-    """Collects :class:`repro.perf.bench.BenchRecord` lists for the archive.
-
-    Call it with an iterable of records; everything collected over the
-    session lands in ``BENCH_perf.json`` at the repository root.
-    """
-
-    def add(records) -> None:
-        _PERF_RECORDS.extend(records)
-
-    return add
-
-
-def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
-    if not _PERF_RECORDS:
-        return
-    from repro.perf.bench import records_to_json, write_json
-
-    write_json(records_to_json(_PERF_RECORDS), str(PERF_JSON_PATH))
+    return Reporter(capsys, slug, _started_slugs)

@@ -14,24 +14,26 @@ Main subcommands::
                                        # (repro-serve/1; docs/SERVING.md)
     repro-fuse loadgen                 # drive the daemon under load/chaos
                                        # (writes BENCH_serve.json)
-    repro-fuse bench                   # perf harness (text/json, BENCH_perf shape)
     repro-fuse stats                   # dump the observability metrics registry
     repro-fuse cache    stats          # inspect/maintain the persistent store
                                        # (stats|verify|prune|clear; docs/CACHING.md)
     repro-fuse demo     fig2           # run a gallery example end to end
 
-``python -m repro.cli`` works identically.  ``fuse``, ``run`` and ``bench``
+``python -m repro.cli`` works identically.  ``fuse`` and ``run``
 accept ``--trace PATH --trace-format text|json|chrome`` to export a span
 trace of the invocation, and ``--metrics PATH`` to persist the metrics
 registry (render it later with ``repro-fuse stats --input PATH``); see
 docs/OBSERVABILITY.md.
 
-``fuse``, ``run``, ``batch``, ``bench``, ``serve`` and ``loadgen`` accept
+``fuse``, ``run``, ``batch``, ``serve`` and ``loadgen`` accept
 ``--store PATH``: a persistent sqlite-backed compilation cache (the L2
 disk tier under the in-memory memo caches) shared safely across processes
 and serve workers.  ``REPRO_FUSE_STORE`` sets the same default from the
 environment; ``REPRO_FUSE_STORE_MAX_ENTRIES`` / ``REPRO_FUSE_STORE_MAX_MB``
 set its caps.  See docs/CACHING.md.
+
+Performance is measured by the benchmark at ``bench/`` (``python3
+bench/run.py``, see bench/README.md), not by a subcommand.
 
 Exit codes follow the single shared table in
 :class:`repro.core.ExitCode` (documented in docs/DIAGNOSTICS.md):
@@ -98,8 +100,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _size(text: str) -> Tuple[int, int]:
+    """Argparse type for ``--size N,M``: two positive integers.
+
+    A malformed or non-positive size is a usage error (exit 2 with the
+    subcommand's usage line), not a traceback from the executor.
+    """
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected N,M, got {text!r}")
+    n, m = (_positive_int(part) for part in parts)
+    return n, m
+
+
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
-    """Observability options shared by ``fuse``, ``run`` and ``bench``."""
+    """Observability options shared by ``fuse`` and ``run``."""
     group = parser.add_argument_group("observability")
     group.add_argument(
         "--trace",
@@ -252,6 +267,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--size",
         metavar="N,M",
+        type=_size,
         default="64,64",
         help="iteration-space size for --backend execution (default 64,64)",
     )
@@ -392,55 +408,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_store_argument(p_lg)
     add_format_argument(p_lg, [TEXT, JSON])
 
-    p_bench = sub.add_parser(
-        "bench", help="performance harness (backends, memo caches, solvers)"
-    )
-    p_bench.add_argument(
-        "--example",
-        default="fig2",
-        help="gallery example to time (default fig2; see repro.perf.bench)",
-    )
-    p_bench.add_argument(
-        "--size", metavar="N,M", default="256,256",
-        help="iteration-space size (default 256,256)",
-    )
-    p_bench.add_argument(
-        "--sizes", metavar="N1xM1,N2xM2,...", default=None,
-        help="size sweep overriding --size (e.g. 24x24,64x64,256x256) -- "
-        "measures the interp/compiled/numpy crossover",
-    )
-    p_bench.add_argument(
-        "--backends", metavar="B1,B2,...", default="interp,compiled,numpy",
-        help="comma-separated backends to time (default interp,compiled,numpy)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="timed runs per configuration (default 3)",
-    )
-    p_bench.add_argument(
-        "--no-cache-bench", action="store_true",
-        help="skip the fusion memo-cache benchmark",
-    )
-    p_bench.add_argument(
-        "--no-solver-bench", action="store_true",
-        help="skip the Bellman-Ford SLF-vs-rounds benchmark",
-    )
-    p_bench.add_argument(
-        "--no-store-bench", action="store_true",
-        help="skip the persistent-store cold/warm benchmark",
-    )
-    p_bench.add_argument(
-        "--no-plan-bench", action="store_true",
-        help="skip the execution-planner auto-vs-static benchmark",
-    )
-    add_format_argument(p_bench, [TEXT, JSON])
-    p_bench.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="also write the JSON document to PATH",
-    )
-    _add_store_argument(p_bench)
-    _add_trace_arguments(p_bench)
-
     p_st = sub.add_parser(
         "stats", help="dump the observability metrics registry (repro-stats/1)"
     )
@@ -460,7 +427,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--metrics instead of this process's registry",
     )
     p_st.add_argument(
-        "--size", metavar="N,M", default="16,16",
+        "--size", metavar="N,M", type=_size, default="16,16",
         help="iteration-space size for the instrumented execution (default 16,16)",
     )
     add_format_argument(p_st, [TEXT, JSON])
@@ -502,7 +469,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "report", help="regenerate every experiment table (no timing)"
     )
-    p_rep.add_argument("--size", metavar="N,M", default="100,63",
+    p_rep.add_argument("--size", metavar="N,M", type=_size, default="100,63",
                        help="iteration-space size (default 100,63)")
 
     return parser
@@ -691,11 +658,6 @@ def _run_error_dict(exc: BaseException) -> dict:
     return out
 
 
-def _parse_size(text: str) -> Tuple[int, int]:
-    n, m = (int(x) for x in text.split(","))
-    return n, m
-
-
 def _execute_backend(out, args: argparse.Namespace) -> dict:
     """Execute the strict pipeline's fused program with the chosen backend.
 
@@ -710,7 +672,7 @@ def _execute_backend(out, args: argparse.Namespace) -> dict:
     from repro.codegen.interp import ArrayStore, run_fused
     from repro.core.backends import DEPRECATED_BACKENDS, execute_fused
 
-    n, m = _parse_size(args.size)
+    n, m = args.size
     fp = out.fused
     if fp is None:
         raise FusionError("nothing to execute: the pipeline emitted no fused program")
@@ -952,53 +914,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return ExitCode.OK if not report["malformed"] else ExitCode.FAILURE
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.perf.bench import (
-        parse_sizes,
-        render_records_text,
-        run_bench_suite,
-        write_json,
-    )
-
-    try:
-        n, m = _parse_size(args.size)
-        sizes = parse_sizes(args.sizes) if args.sizes else None
-    except ValueError as exc:
-        print(
-            f"bad --size/--sizes value ({exc}); "
-            "expected N,M / N1xM1,N2xM2,...",
-            file=sys.stderr,
-        )
-        return ExitCode.USAGE
-    backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    try:
-        doc = run_bench_suite(
-            args.example,
-            n=n,
-            m=m,
-            sizes=sizes,
-            backends=backends,
-            repeats=args.repeats,
-            include_cache=not args.no_cache_bench,
-            include_solver=not args.no_solver_bench,
-            include_store=not args.no_store_bench,
-            include_plan=not args.no_plan_bench,
-            store_path=args.store,
-        )
-    except ValueError as exc:  # unknown example name etc.
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitCode.FAILURE
-    if args.output:
-        write_json(doc, args.output)
-    if args.format == "json":
-        print(_json.dumps(doc, indent=2))
-    else:
-        print(render_records_text(doc))
-    return ExitCode.OK
-
-
 def _stats_workload(path: str, n: int, m: int) -> None:
     """Run the instrumented pipeline on ``path`` to populate the registry.
 
@@ -1038,15 +953,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             doc = _json.load(fh)
     else:
         if args.file is not None:
-            try:
-                n, m = _parse_size(args.size)
-            except ValueError:
-                print(
-                    f"bad --size value {args.size!r}; expected N,M",
-                    file=sys.stderr,
-                )
-                return ExitCode.USAGE
-            _stats_workload(args.file, n, m)
+            _stats_workload(args.file, *args.size)
         # judge emptiness before the cache snapshot: the snapshot gauges
         # exist even in a process that did no instrumented work
         empty = obs.default_registry().empty
@@ -1190,8 +1097,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             return _cmd_serve(args)
         if args.command == "loadgen":
             return _cmd_loadgen(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "stats":
             return _cmd_stats(args)
         if args.command == "cache":
@@ -1201,12 +1106,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.command == "report":
             from repro.experiments import full_report
 
-            try:
-                n, m = (int(x) for x in args.size.split(","))
-            except ValueError:
-                print(f"bad --size value {args.size!r}; expected N,M", file=sys.stderr)
-                return ExitCode.USAGE
-            print(full_report(n, m))
+            print(full_report(*args.size))
             return ExitCode.OK
     except (ParseError, ValidationError, FusionError, _BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 Three interchangeable executors can run a fused program; this module
 gives them one name table and one calling convention so every selection
-site -- ``repro-fuse run --backend``, ``repro-fuse bench --backends``,
-``SessionOptions.backend`` (and through it the serve workers and
-``fuse_many``) -- resolves backends the same way:
+site -- ``repro-fuse run --backend``, ``SessionOptions.backend`` (and
+through it the serve workers and ``fuse_many``) and the benchmark's
+static backends (``python3 bench/run.py``) -- resolves backends the same
+way:
 
 ========== =========================================================
 ``interp``   tree-walking interpreter (:func:`repro.codegen.interp.run_fused`,

@@ -4,7 +4,7 @@ Every ``repro-fuse`` subcommand that renders in more than one format
 resolves its ``--format`` through this one helper instead of a private
 ``choices=`` list, so the format vocabulary stays consistent across
 ``lint`` (text|json|sarif), ``analyze`` (text|json|dot|sarif),
-``run``/``bench``/``stats`` (text|json) and the trace exporters
+``run``/``stats`` (text|json) and the trace exporters
 (text|json|chrome).
 """
 

@@ -1,15 +1,12 @@
-"""The performance layer: memo caches and the bench harness.
+"""The performance layer: memo caches (see ``docs/PERFORMANCE.md``).
 
-Two pillars (see ``docs/PERFORMANCE.md``):
+:mod:`repro.perf.memo` -- canonical structural hashing of MLDGs feeding
+LRU caches so repeated and isomorphic ``fuse()`` queries are O(1).
+Measurements live in the benchmark at ``bench/`` (``python3 bench/run.py``).
 
-* :mod:`repro.perf.memo` -- canonical structural hashing of MLDGs feeding
-  LRU caches so repeated and isomorphic ``fuse()`` queries are O(1);
-* :mod:`repro.perf.bench` -- the measured-perf harness behind
-  ``repro-fuse bench`` and ``BENCH_perf.json``.
-
-Submodules are loaded lazily so that low-level packages (e.g. the fusion
+Names are loaded lazily so that low-level packages (e.g. the fusion
 driver, which consumes :mod:`repro.perf.memo`) can import this package
-without dragging in the bench harness.
+cheaply.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ __all__ = [
     "fusion_cache",
     "retiming_cache",
     "clear_all_caches",
-    "run_bench_suite",
-    "BenchRecord",
 ]
 
 _LAZY = {
@@ -36,12 +31,9 @@ _LAZY = {
     "fusion_cache": "repro.perf.memo",
     "retiming_cache": "repro.perf.memo",
     "clear_all_caches": "repro.perf.memo",
-    "run_bench_suite": "repro.perf.bench",
-    "BenchRecord": "repro.perf.bench",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
-    from repro.perf.bench import BenchRecord, run_bench_suite  # noqa: F401
     from repro.perf.memo import (  # noqa: F401
         CacheInfo,
         MemoCache,

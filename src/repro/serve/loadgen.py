@@ -28,6 +28,7 @@ invocation -- see docs/CACHING.md.
 from __future__ import annotations
 
 import json
+import platform
 import threading
 import time
 from dataclasses import dataclass, field
@@ -194,6 +195,26 @@ def _percentile(sorted_ms: List[float], q: float) -> float:
     return sorted_ms[int(idx)]
 
 
+def platform_block() -> Dict[str, Any]:
+    """The ``platform`` object stamped into benchmark documents.
+
+    Includes the array/graph library versions (``numpy``, ``networkx``):
+    perf trajectories are uninterpretable without them.
+    """
+    import os
+
+    import networkx
+    import numpy
+
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpuCount": os.cpu_count(),
+        "numpy": numpy.__version__,
+        "networkx": networkx.__version__,
+    }
+
+
 def run_loadgen(opts: Optional[LoadgenOptions] = None) -> Dict[str, Any]:
     """Run the benchmark; returns (and optionally writes) the report."""
     from repro.serve.wire import CompileResponse
@@ -270,8 +291,6 @@ def run_loadgen(opts: Optional[LoadgenOptions] = None) -> Dict[str, Any]:
         if not resp.well_formed:
             malformed.append(resp.name)
     latencies = sorted(o.latency_ms for o in done)
-    from repro.perf.bench import platform_block
-
     report = {
         "schema": BENCH_SCHEMA,
         "platform": platform_block(),

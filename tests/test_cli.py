@@ -164,7 +164,9 @@ class TestReport:
         assert "Shift-and-peel crossover" in out
 
     def test_bad_size(self, capsys):
-        assert main(["report", "--size", "potato"]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["report", "--size", "potato"])
+        assert err.value.code == 2
 
     def test_analyze_shows_stats(self, fig2_file, capsys):
         assert main(["analyze", fig2_file]) == 0
@@ -457,64 +459,31 @@ class TestRunBackend:
         assert "--backend" in capsys.readouterr().err
 
 
-class TestBench:
-    """The performance harness subcommand."""
+class TestSizeValidation:
+    """``--size`` is one argparse type on every subcommand that takes it.
 
-    def test_bench_json_schema(self, capsys):
-        assert (
-            main(
-                [
-                    "bench", "--size", "12,12", "--repeats", "1",
-                    "--no-solver-bench", "--no-cache-bench", "--format", "json",
-                ]
-            )
-            == 0
-        )
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro-bench-perf/1"
-        backends = {b["backend"] for b in doc["benchmarks"]}
-        assert {"interp", "compiled", "numpy", "auto"} <= backends
-        assert {"fusion", "retiming", "kernels"} <= set(doc["caches"])
-        for record in doc["benchmarks"]:
-            assert record["medianSeconds"] >= 0
-            assert record["repeats"] == 1
+    A malformed or non-positive size exits 2 with a one-line message
+    instead of a traceback from deep inside the executor.
+    """
 
-    def test_bench_text_table(self, capsys):
-        assert (
-            main(
-                [
-                    "bench", "--size", "10,10",
-                    "--backends", "interp,numpy", "--repeats", "1",
-                    "--no-solver-bench", "--no-cache-bench",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "backend" in out and "median" in out
-        assert "numpy" in out
-
-    def test_bench_output_file(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        assert (
-            main(
-                [
-                    "bench", "--size", "10,10", "--repeats", "1",
-                    "--backends", "interp", "--no-solver-bench",
-                    "--no-cache-bench", "--output", str(path),
-                ]
-            )
-            == 0
-        )
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro-bench-perf/1"
-
-    def test_bench_unknown_example_exit_1(self, capsys):
-        assert main(["bench", "--example", "nonexistent"]) == 1
-        assert "unknown bench example" in capsys.readouterr().err
-
-    def test_bench_bad_size_exit_2(self, capsys):
-        assert main(["bench", "--size", "banana"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "FIG2", "--backend", "numpy", "--size", "5"],
+            ["stats", "FIG2", "--size=-3,5"],
+            ["report", "--size=0,-2"],
+        ],
+        ids=["run-one-value", "stats-negative", "report-zero"],
+    )
+    def test_malformed_size_is_usage_error(self, fig2_file, capsys, argv):
+        argv = [fig2_file if a == "FIG2" else a for a in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "Traceback" not in err_text
+        message = err_text.strip().splitlines()[-1]
+        assert "error: argument --size:" in message
 
 
 class TestJobsValidation:

@@ -133,8 +133,9 @@ class TestStatsCommand:
             assert main(["stats"]) == 1
 
     def test_bad_size_value(self, fig2_file, capsys):
-        with obs.use_registry():
-            assert main(["stats", fig2_file, "--size", "nope"]) == 2
+        with obs.use_registry(), pytest.raises(SystemExit) as err:
+            main(["stats", fig2_file, "--size", "nope"])
+        assert err.value.code == 2
 
 
 class TestMetricsFlag:

@@ -1,10 +1,11 @@
 """The numpy whole-array lowering backend, verified bit-for-bit.
 
-Four independent implementations of fused-program semantics now guard
-each other: interp (ground truth), compiled (per-row), parallel
-(chunked) and numpy (staged whole-array).  These tests sweep
+Three independent implementations of fused-program semantics guard
+each other: interp (ground truth), compiled (per-row) and numpy (staged
+whole-array), plus ``auto``, which runs whichever the planner picks.
+These tests sweep
 
-* the full runnable gallery x sizes x all four backends (identity),
+* the full runnable gallery x sizes x every backend (identity),
 * seeded random single-writer programs through the same sweep,
 * resilience-ladder rungs that reach execution,
 * hand-permuted fused bodies that force the slab classifier to give up
@@ -33,12 +34,6 @@ from repro.gallery.extended import extended_kernels
 from repro.gallery.paper import figure2_code
 from repro.loopir import parse_program
 from repro.loopir.ast_nodes import ArrayRef
-from repro.perf.bench import (
-    bench_backend_sweep,
-    bench_backends,
-    parse_sizes,
-    platform_block,
-)
 from repro.vectors import IVec
 
 N, M = 17, 23  # deliberately not round, not square, not slab-aligned
@@ -87,13 +82,15 @@ class TestGalleryIdentity:
                              ids=[w[0] for w in _WORKLOADS])
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_all_backends_agree(self, key, nest, fp, result, backend):
-        ref = _reference(nest, fp, N, M)
-        got = ArrayStore.for_program(nest, N, M, seed=11)
-        execute_fused(
-            backend, fp, N, M, store=got,
-            schedule=result.schedule, is_doall=result.is_doall,
-        )
-        assert ref.equal(got), f"{backend} diverged on {key}"
+        # (24, 24) is the smoke size the benchmark's bit-identity gate uses
+        for n, m in SIZES + [(24, 24)]:
+            ref = _reference(nest, fp, n, m)
+            got = ArrayStore.for_program(nest, n, m, seed=11)
+            execute_fused(
+                backend, fp, n, m, store=got,
+                schedule=result.schedule, is_doall=result.is_doall,
+            )
+            assert ref.equal(got), f"{backend} diverged on {key} at {n}x{m}"
 
     def test_no_fallback_on_core_gallery(self):
         """Every gallery statement lowers to an array-op stage."""
@@ -430,51 +427,3 @@ class TestBackendRegistry:
         k2 = compile_numpy(fp, schedule=result.schedule)
         assert k1 is k2  # source-keyed kernel cache hit
         assert compile_fused(fp) is not k1  # distinct source, distinct kernel
-
-
-# ------------------------------------------------------------------ #
-# bench harness plumbing
-# ------------------------------------------------------------------ #
-
-
-class TestBenchHarness:
-    def test_parse_sizes(self):
-        assert parse_sizes("16x16") == [(16, 16)]
-        assert parse_sizes("8x12, 256x128") == [(8, 12), (256, 128)]
-        assert parse_sizes("16x16,") == [(16, 16)]  # trailing comma tolerated
-        for bad in ("", "16", "16x", "axb"):
-            with pytest.raises(ValueError):
-                parse_sizes(bad)
-
-    def test_platform_block_records_library_versions(self):
-        import networkx
-        import numpy
-
-        block = platform_block()
-        assert block["numpy"] == numpy.__version__
-        assert block["networkx"] == networkx.__version__
-        assert "python" in block and "cpuCount" in block
-
-    def test_bench_backends_numpy_phase(self):
-        records = bench_backends(
-            "fig2", n=9, m=9,
-            backends=("interp", "compiled", "numpy"), repeats=1,
-        )
-        by_backend = {r.backend: r for r in records}
-        assert "store-copy" in by_backend  # copy cost split out of rows
-        np_rec = by_backend["numpy"]
-        assert np_rec.extra["plan"]["scalar"] == 0
-        assert set(np_rec.extra["kernelCache"]) == {"hits", "misses"}
-        assert "speedupVsCompiled" in np_rec.extra
-        # per-phase deltas: compiled and numpy each saw exactly one
-        # compile of their own source, not the other's
-        assert by_backend["compiled"].extra["kernelCache"]["misses"] <= 1
-        assert np_rec.extra["kernelCache"]["misses"] <= 1
-
-    def test_bench_backend_sweep_covers_each_size(self):
-        records = bench_backend_sweep(
-            "jacobi-pair", sizes=[(6, 6), (9, 7)],
-            backends=("interp", "numpy"), repeats=1,
-        )
-        sized = {(r.n, r.m) for r in records}
-        assert sized == {(6, 6), (9, 7)}

@@ -16,7 +16,6 @@ from repro.constraints.bellman_ford import scalar_bellman_ford
 from repro.core.backends import execute_fused
 from repro.fusion.driver import fuse
 from repro.gallery.paper import figure2_code, figure2_mldg
-from repro.perf.bench import bench_solvers, records_to_json
 from repro.perf.memo import clear_all_caches
 from repro.pipeline import fuse_program
 from repro.resilience.budget import Budget, BudgetExceededError
@@ -194,14 +193,3 @@ class TestTraceDeterminism:
             execute_fused("numpy", result.fused, 12, 12, store=plain)
             _, traced = _traced_run()
         assert plain.equal(traced)
-
-
-class TestBenchMetricsBridge:
-    def test_records_to_json_carries_metrics(self):
-        with obs.use_registry():
-            records = bench_solvers(chain=10, repeats=1)
-            doc = records_to_json(records)
-        assert doc["schema"] == "repro-bench-perf/1"
-        counters = doc["metrics"]["counters"]
-        assert counters.get("solver.bellman_ford.calls", 0) > 0
-        assert counters.get("solver.bellman_ford.pops", 0) > 0

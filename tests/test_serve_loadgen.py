@@ -9,6 +9,7 @@ import pytest
 from repro.serve.loadgen import (
     BENCH_SCHEMA,
     LoadgenOptions,
+    platform_block,
     render_report_text,
     run_loadgen,
 )
@@ -42,3 +43,13 @@ def test_chaos_run_stays_well_formed(tmp_path):
     )
     assert report["wellFormed"] == 12 and report["malformed"] == []
     assert report["options"]["chaosKills"] == 1
+
+
+def test_platform_block_records_library_versions():
+    import networkx
+    import numpy
+
+    block = platform_block()
+    assert block["numpy"] == numpy.__version__
+    assert block["networkx"] == networkx.__version__
+    assert "python" in block and "cpuCount" in block
