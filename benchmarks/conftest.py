@@ -5,8 +5,10 @@ evaluation (see DESIGN.md's per-experiment index) and also times its core
 algorithm with pytest-benchmark.  The reproduction tables are printed
 through the ``report`` fixture so they appear in the terminal (and hence in
 ``bench_output.txt``) even under pytest's output capture, and are archived
-under ``results/``.  A module's results file is rewritten the first time
-it reports in a session, so running one module leaves the others' files
+under ``results/``; ``report.echo`` prints host-dependent figures
+(wall-clock times) to the terminal only, so archived files stay
+reproducible.  A module's results file is rewritten the first time it
+reports in a session, so running one module leaves the others' files
 alone.  Performance is measured by ``python3 bench/run.py`` (bench/README.md).
 """
 
@@ -48,9 +50,13 @@ class Reporter:
         text = format_table(title, headers, list(rows))
         self.text(text)
 
-    def text(self, text: str) -> None:
+    def echo(self, text: str) -> None:
+        """Print to the live terminal only (host-dependent figures)."""
         with self._capsys.disabled():
             print(text)
+
+    def text(self, text: str) -> None:
+        self.echo(text)
         path = RESULTS_DIR / f"{self._slug}.txt"
         mode = "a" if self._slug in self._started else "w"
         self._started.add(self._slug)

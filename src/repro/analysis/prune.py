@@ -22,7 +22,10 @@ when it runs at all:
 
 Every removal is certificate-carrying: the pass attaches the serialized
 evidence to its trace span and counts ``analysis.prune.removed_vectors`` /
-``analysis.prune.removed_edges``.
+``analysis.prune.removed_edges``.  The pass reads the dependence records
+and the analysis report the lint pass already computed; when it removes a
+vector it drops the artifact's legality report, so legality is decided
+again on the pruned graph.
 """
 
 from __future__ import annotations
@@ -154,8 +157,14 @@ class PruneMLDGPass(Pass):
                 "edge pruning skipped: fault injection is active"
             )
             return
-        pruned_graph, result = prune_mldg(artifact.nest, artifact.mldg)
+        pruned_graph, result = prune_mldg(
+            artifact.nest,
+            artifact.mldg,
+            records=artifact.records,
+            report=artifact.analysis,
+        )
         artifact.prune = result
+        artifact.analysis = result.report
         if not result.pruned:
             return
         with obs.trace_span(
@@ -170,6 +179,7 @@ class PruneMLDGPass(Pass):
         )
         obs.counter("analysis.prune.removed_edges").inc(result.removed_edge_count)
         artifact.mldg = pruned_graph
+        artifact.legality = None  # decided again on the pruned graph
         artifact.notes.append(
             "pruned "
             f"{result.removed_vector_count} provably-absent dependence "

@@ -24,7 +24,7 @@ alignment system) -- those inputs report failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.constraints import InfeasibleSystemError, ScalarConstraintSystem
 from repro.graph.mldg import MLDG

@@ -23,7 +23,7 @@ means no fused body order exists: :class:`DeadlockError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import networkx as nx
 
@@ -134,17 +134,20 @@ def apply_fusion(
     retiming: Retiming,
     *,
     mldg: Optional[MLDG] = None,
+    retimed: Optional[MLDG] = None,
 ) -> FusedProgram:
     """Build the fused program for a loop nest under a retiming.
 
     ``mldg`` may be supplied when already extracted (it must match the
-    nest).  Raises :class:`DeadlockError` when the retimed graph admits no
+    nest), and ``retimed`` when ``retiming`` was already applied to it
+    (a verified :class:`~repro.fusion.driver.FusionResult` carries both).
+    Raises :class:`DeadlockError` when the retimed graph admits no
     fused body order, and ``ValueError`` when the retiming leaves a
     lexicographically negative dependence (fusion would be illegal --
     Theorem 3.1).
     """
     g = mldg if mldg is not None else extract_mldg(nest)
-    gr = retiming.apply(g)
+    gr = retimed if retimed is not None else retiming.apply(g)
 
     zero = IVec.zero(g.dim)
     for e in gr.edges():

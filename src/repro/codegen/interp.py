@@ -25,7 +25,7 @@ A read of a cell that no statement ever writes returns the store's initial
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

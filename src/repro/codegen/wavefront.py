@@ -45,7 +45,10 @@ def _lin(coef_t: int, coef_p: int, const: int) -> str:
             parts.append(f"-{sym}" if not parts else f"- {sym}")
         else:
             text = f"{coef}*{sym}"
-            parts.append(text if not parts else (f"+ {text}" if coef > 0 else f"- {abs(coef)}*{sym}"))
+            if not parts:
+                parts.append(text)
+            else:
+                parts.append(f"+ {text}" if coef > 0 else f"- {abs(coef)}*{sym}")
     if const or not parts:
         parts.append(
             str(const)

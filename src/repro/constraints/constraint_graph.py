@@ -15,7 +15,7 @@ slightly different constraint graph: Figures 5, 9, 11a, 11b) share it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, Hashable, List, Sequence, Tuple, TypeVar
 
 __all__ = ["ConstraintGraph", "SUPER_SOURCE"]
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,

@@ -37,7 +37,8 @@ __all__ = [
 ]
 
 #: ``make_result(g, retiming, strategy_name, schedule=..., hyperplane=...,
-#: notes=...)`` -- supplied by the driver; verifies and wraps the retiming.
+#: notes=..., retimed=...)`` -- supplied by the driver; verifies and wraps
+#: the retiming (``retimed``: ``G_r`` when the strategy already built it).
 MakeResult = Callable[..., object]
 
 
@@ -148,6 +149,7 @@ class HyperplanePass(StrategyPass):
             schedule=hp.schedule,
             hyperplane=hp.hyperplane,
             notes=notes,
+            retimed=hp.retimed,
         )
 
 

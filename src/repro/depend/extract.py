@@ -22,7 +22,13 @@ from repro.loopir.ast_nodes import ArrayRef, Assignment, LoopNest
 from repro.loopir.validate import validate_program
 from repro.vectors import IVec
 
-__all__ = ["extract_mldg", "dependence_table", "records_by_edge", "DependenceRecord"]
+__all__ = [
+    "extract_mldg",
+    "mldg_from_records",
+    "dependence_table",
+    "records_by_edge",
+    "DependenceRecord",
+]
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,8 @@ def dependence_table(nest: LoopNest, *, check: bool = True) -> List[DependenceRe
                     # upgrading its ref if this occurrence has a span and
                     # the recorded one does not
                     k = seen[key]
-                    if records[k].ref is not None and records[k].ref.span is None and ref.span is not None:
+                    old_ref = records[k].ref
+                    if old_ref is not None and old_ref.span is None and ref.span is not None:
                         records[k] = DependenceRecord(
                             array=ref.array,
                             src=w_label,
@@ -132,9 +139,14 @@ def extract_mldg(nest: LoopNest, *, check: bool = True) -> MLDG:
     Nodes appear in program order (one per DOALL loop, including loops with
     no dependencies); edges accumulate the full ``D_L`` vector sets.
     """
+    return mldg_from_records(nest, dependence_table(nest, check=check))
+
+
+def mldg_from_records(nest: LoopNest, records: List[DependenceRecord]) -> MLDG:
+    """The MLDG of ``nest`` built from its already-computed dependence table."""
     g = MLDG(dim=nest.dim)
     for loop in nest.loops:
         g.add_node(loop.label)
-    for rec in dependence_table(nest, check=check):
+    for rec in records:
         g.add_dependence(rec.src, rec.dst, rec.vector)
     return g

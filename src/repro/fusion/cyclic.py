@@ -37,7 +37,7 @@ module rejects other dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.constraints import (
     InfeasibleSystemError,

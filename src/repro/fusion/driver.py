@@ -8,9 +8,10 @@ returns a verified :class:`FusionResult`:
 * any other legal MLDG -> Algorithm 5, DOALL hyperplane (Theorem 4.4).
 
 Every result is re-verified against the paper's invariants
-(:func:`repro.retiming.verify.verify_retiming`) before being returned --
-the algorithms are trusted, but the verification is cheap and turns any
-latent bug into a loud error.
+(:func:`repro.retiming.verify.verify_retiming`, one O(|E|) pass over the
+retimed graph the result carries) before being returned -- the algorithms
+are trusted, but the verification is cheap and turns any latent bug into a
+loud error.
 
 Successful outcomes are memoized by canonical MLDG structure
 (:mod:`repro.perf.memo`): a repeated -- or isomorphic-but-relabelled --
@@ -33,7 +34,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.fusion.errors import FusionError, IllegalMLDGError
-from repro.graph.legality import check_legal
+from repro.graph.legality import LegalityReport, check_legal
 from repro.graph.mldg import MLDG
 from repro.perf.memo import (
     canonical_mldg_key,
@@ -111,11 +112,10 @@ def _result(
     schedule: IVec,
     hyperplane: Optional[IVec],
     notes: Optional[List[str]] = None,
+    retimed: Optional[MLDG] = None,
 ) -> FusionResult:
-    gr = r.apply(g)
-    # Cycle-weight preservation is a telescoping identity, so sampling a
-    # bounded number of cycles keeps verification O(small) on dense graphs.
-    verification = verify_retiming(g, r, cycle_limit=100)
+    gr = retimed if retimed is not None else r.apply(g)
+    verification = verify_retiming(g, r, retimed=gr)
     if not verification.ok_for_legal_fusion:
         raise FusionError(
             f"internal error: {strategy.value} produced an invalid retiming: "
@@ -212,6 +212,7 @@ def fuse(
     strategy: Strategy | str = Strategy.AUTO,
     *,
     budget: Optional[Budget] = None,
+    legality: Optional[LegalityReport] = None,
 ) -> FusionResult:
     """Fuse the loop nest modelled by ``g``, maximising parallelism.
 
@@ -232,6 +233,10 @@ def fuse(
     under a limiting budget or an active fault injector bypass the cache
     (see :func:`repro.perf.memo.memoization_applicable`); set
     ``REPRO_FUSE_MEMO=0`` to disable memoization entirely.
+
+    ``legality`` is :func:`~repro.graph.legality.check_legal`'s report on
+    ``g`` when the caller already has it; a cold compile then skips that
+    solve.
     """
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
@@ -279,7 +284,7 @@ def fuse(
             reg.counter("store.bypassed").inc()
             sp.set(cache="bypassed")
 
-        result = _fuse_uncached(g, strategy, budget)
+        result = _fuse_uncached(g, strategy, budget, legality)
         if memo_ok:
             payload = _dehydrate(result)
             fusion_cache().put(key, payload)
@@ -323,26 +328,30 @@ def _make_result(
     schedule: IVec,
     hyperplane: Optional[IVec],
     notes: Optional[List[str]] = None,
+    retimed: Optional[MLDG] = None,
 ) -> FusionResult:
     """The ``make_result`` callback handed to the strategy passes: binds
     the string strategy name back to the enum and verifies via :func:`_result`."""
     return _result(
         g, r, Strategy(strategy_name),
-        schedule=schedule, hyperplane=hyperplane, notes=notes,
+        schedule=schedule, hyperplane=hyperplane, notes=notes, retimed=retimed,
     )
 
 
 def _fuse_uncached(
-    g: MLDG, strategy: Strategy, budget: Optional[Budget]
+    g: MLDG,
+    strategy: Strategy,
+    budget: Optional[Budget],
+    legality: Optional[LegalityReport],
 ) -> FusionResult:
     """The strategy dispatch behind :func:`fuse` (no memoization).
 
-    Legality is checked here once; the algorithms themselves dispatch
-    through the registered strategy passes (:mod:`repro.core.strategies`),
-    each of which returns through :func:`_make_result` so the verification
-    gate still guards every exit.
+    Legality is checked here once (or taken from ``legality``); the
+    algorithms themselves dispatch through the registered strategy passes
+    (:mod:`repro.core.strategies`), each of which returns through
+    :func:`_make_result` so the verification gate still guards every exit.
     """
-    report = check_legal(g)
+    report = legality if legality is not None else check_legal(g)
     if not report.legal:
         # structured diagnostics ride along so callers see codes and spans
         from repro.lint.engine import diagnostics_from_legality

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.fusion.errors import IllegalMLDGError
 from repro.fusion.legal import legal_fusion_retiming
 from repro.graph.mldg import MLDG
 from repro.resilience.budget import Budget
@@ -38,14 +37,19 @@ class HyperplaneFusion:
         The strict schedule vector ``s`` for the retimed dependence set.
     hyperplane:
         ``h = (s[1], -s[0])``, the DOALL hyperplane direction.
-    retimed_vectors:
-        All retimed dependence vectors (for reporting and verification).
+    retimed:
+        The retimed graph ``G_r``.
     """
 
     retiming: Retiming
     schedule: IVec
     hyperplane: IVec
-    retimed_vectors: List[IVec]
+    retimed: MLDG
+
+    @property
+    def retimed_vectors(self) -> List[IVec]:
+        """All retimed dependence vectors (for reporting and verification)."""
+        return sorted(self.retimed.all_vectors())
 
     @property
     def is_row_parallel(self) -> bool:
@@ -67,9 +71,6 @@ def hyperplane_parallel_fusion(
         raise ValueError("Algorithm 5's hyperplane construction is two-dimensional")
     r = legal_fusion_retiming(g, check=check, budget=budget)
     gr = r.apply(g)
-    retimed = sorted(gr.all_vectors())
-    s = schedule_vector_for(retimed)
+    s = schedule_vector_for(sorted(gr.all_vectors()))
     h = hyperplane_for_schedule(s)
-    return HyperplaneFusion(
-        retiming=r, schedule=s, hyperplane=h, retimed_vectors=retimed
-    )
+    return HyperplaneFusion(retiming=r, schedule=s, hyperplane=h, retimed=gr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from textwrap import dedent
-from typing import List, Optional
+from typing import List
 
 from repro.depend import extract_mldg
 from repro.graph.mldg import MLDG

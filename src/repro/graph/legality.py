@@ -60,7 +60,7 @@ of the fused loop would precede the producer iteration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -136,12 +136,15 @@ class LegalityReport:
 
     ``violations`` is the legacy string form; ``findings`` carries the same
     violations as structured :class:`LegalityFinding` records, in the same
-    order.
+    order.  ``solution`` is the feasible LLOFRA solution that proved a legal
+    graph legal (``None`` when illegal), so later consumers -- the
+    zero-weight-cycle check, the fusion driver -- need not solve again.
     """
 
     legal: bool
     violations: List[str] = field(default_factory=list)
     findings: List[LegalityFinding] = field(default_factory=list)
+    solution: Optional[Dict[str, IVec]] = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.legal
@@ -165,8 +168,9 @@ def check_legal(g: MLDG) -> LegalityReport:
     certificate.
     """
     findings: List[LegalityFinding] = []
+    solution = None
     try:
-        _llofra_feasible_retiming(g)
+        solution = _llofra_feasible_retiming(g)
     except InfeasibleSystemError as exc:
         cyc = " -> ".join(map(str, exc.cycle))
         findings.append(
@@ -180,6 +184,7 @@ def check_legal(g: MLDG) -> LegalityReport:
         legal=not findings,
         violations=[f.message for f in findings],
         findings=findings,
+        solution=solution,
     )
 
 
@@ -188,20 +193,24 @@ def is_legal(g: MLDG) -> bool:
     return check_legal(g).legal
 
 
-def zero_weight_cycle(g: MLDG) -> Optional[List[str]]:
+def zero_weight_cycle(
+    g: MLDG, *, solution: Optional[Dict[str, IVec]] = None
+) -> Optional[List[str]]:
     """A zero-weight dependence cycle if one exists, else ``None``.
 
     Requires a legal graph (raises ``ValueError`` otherwise).  Zero-weight
     cycles are instance-level deadlocks; see the module docstring for why
-    the paper's Figure 14 nonetheless contains one.
+    the paper's Figure 14 nonetheless contains one.  Pass the
+    :attr:`LegalityReport.solution` of ``g`` to skip solving LLOFRA again.
     """
-    try:
-        solution = _llofra_feasible_retiming(g)
-    except InfeasibleSystemError as exc:
-        raise ValueError(
-            f"graph is not legal (negative cycle {exc.cycle}); "
-            "zero_weight_cycle is only meaningful on legal MLDGs"
-        ) from exc
+    if solution is None:
+        try:
+            solution = _llofra_feasible_retiming(g)
+        except InfeasibleSystemError as exc:
+            raise ValueError(
+                f"graph is not legal (negative cycle {exc.cycle}); "
+                "zero_weight_cycle is only meaningful on legal MLDGs"
+            ) from exc
     retimed = g.retimed(solution)
     zero = IVec.zero(g.dim)
     zero_graph = nx.DiGraph()

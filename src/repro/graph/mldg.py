@@ -11,7 +11,7 @@ loops A, B, C, ... in order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import networkx as nx
 

@@ -11,8 +11,9 @@ Entry points:
   (gallery figures, random graphs); only graph-layer rules fire.
 
 The :class:`LintContext` caches the shared expensive artifacts (model
-findings, the dependence table, the legality report) so each rule stays a
-simple generator.
+findings, the dependence table, the analysis report, the legality report)
+so each rule stays a simple generator; :func:`nest_context` builds one
+that the compile pipeline then shares with its later passes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis import rules as _analysis_rules  # noqa: F401  (populates the registry)
 from repro.analysis.engine import AnalysisReport, analyze_nest
-from repro.depend.extract import DependenceRecord, dependence_table, extract_mldg, records_by_edge
+from repro.depend.extract import (
+    DependenceRecord,
+    dependence_table,
+    mldg_from_records,
+    records_by_edge,
+)
 from repro.graph.legality import LegalityReport, check_legal
 from repro.graph.mldg import MLDG
 from repro.lint import rules as _rules  # noqa: F401  (imports populate the registry)
@@ -35,6 +41,8 @@ from repro.vectors import IVec
 
 __all__ = [
     "LintContext",
+    "nest_context",
+    "lint_context",
     "lint_source",
     "lint_nest",
     "lint_mldg",
@@ -142,6 +150,37 @@ def _run(ctx: LintContext, suppressions: Optional[Dict[int, Set[str]]] = None) -
     return LintResult(diagnostics=diagnostics, path=ctx.path)
 
 
+def nest_context(
+    nest: LoopNest,
+    *,
+    path: str = "<nest>",
+    source: Optional[str] = None,
+    findings: Optional[List[ModelFinding]] = None,
+) -> LintContext:
+    """The lint context of a nest, with its dependence table and MLDG.
+
+    When no statement-level model violation prevents it, the nest's
+    dependence table is computed and its MLDG built from it, so the
+    graph-layer rules run too.  Pass ``findings`` when the nest's model
+    findings are already known.  The compile pipeline keeps the context's
+    products (records, MLDG, analysis, legality) so no later pass
+    recomputes them.
+    """
+    ctx = LintContext(nest=nest, path=path, source=source, _model=findings)
+    # Multiple writers make the dependence table ambiguous; graph extraction
+    # is only meaningful without LF101 findings.
+    if not any(f.code == "LF101" for f in ctx.model_findings()):
+        ctx.records = dependence_table(nest, check=False)
+        ctx.mldg = mldg_from_records(nest, ctx.records)
+    return ctx
+
+
+def lint_context(ctx: LintContext) -> LintResult:
+    """Run every rule over ``ctx``; ``ctx.source`` enables suppression comments."""
+    suppressions = collect_lint_suppressions(ctx.source) if ctx.source else None
+    return _run(ctx, suppressions)
+
+
 def lint_nest(
     nest: LoopNest,
     *,
@@ -150,19 +189,10 @@ def lint_nest(
 ) -> LintResult:
     """Lint a parsed (or programmatically built) loop nest.
 
-    When no statement-level model violation prevents it, the nest's MLDG is
-    extracted so the graph-layer rules run too.  ``source`` (when the nest
-    came from DSL text) enables suppression comments.
+    ``source`` (when the nest came from DSL text) enables suppression
+    comments.
     """
-    ctx = LintContext(nest=nest, path=path, source=source)
-    findings = ctx.model_findings()
-    # Multiple writers make the dependence table ambiguous; graph extraction
-    # is only meaningful without LF101 findings.
-    if not any(f.code == "LF101" for f in findings):
-        ctx.records = dependence_table(nest, check=False)
-        ctx.mldg = extract_mldg(nest, check=False)
-    suppressions = collect_lint_suppressions(source) if source else None
-    return _run(ctx, suppressions)
+    return lint_context(nest_context(nest, path=path, source=source))
 
 
 def lint_source(source: str, *, path: str = "<input>") -> LintResult:

@@ -219,7 +219,10 @@ def check_fusion_preventing(ctx: "LintContext") -> Iterator[Diagnostic]:
             "a legal retiming (Algorithm 2, LLOFRA) can repair it by "
             "shifting the consumer to a later outermost iteration"
         )
-        hint = "run fusion with strategy 'auto' or 'legal-only'; the retimed edge becomes non-negative"
+        hint = (
+            "run fusion with strategy 'auto' or 'legal-only'; the retimed edge "
+            "becomes non-negative"
+        )
     else:
         note = "no retiming can repair it: the graph carries an illegal cycle"
         hint = "fix the illegal cycle (LF202) first"
@@ -274,7 +277,7 @@ def check_zero_weight_cycle(ctx: "LintContext") -> Iterator[Diagnostic]:
     report = ctx.legal_report()
     if report is None or not report.legal:
         return  # only meaningful on legal graphs (LF202 already fired)
-    cyc = zero_weight_cycle(g)
+    cyc = zero_weight_cycle(g, solution=report.solution)
     if cyc is not None:
         chain = " -> ".join(cyc + [cyc[0]])
         yield Diagnostic(

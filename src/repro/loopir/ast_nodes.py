@@ -13,7 +13,7 @@ Expression nodes: :class:`Const`, :class:`ArrayRef`, :class:`UnaryOp`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.vectors import IVec
 

@@ -15,7 +15,7 @@ and the parser accept the same expression language.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.loopir.ast_nodes import ArrayRef, Assignment, InnerLoop, LoopNest
 from repro.loopir.parser import _Parser, _tokenize

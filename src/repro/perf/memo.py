@@ -307,7 +307,7 @@ def _verified_store_retiming(
         {name: IVec(*shift) for name, shift in zip(g.nodes, shifts)}, dim=g.dim
     )
     try:
-        if not verify_retiming(g, r, cycle_limit=100).ok_for_legal_fusion:
+        if not verify_retiming(g, r).ok_for_legal_fusion:
             return None
     except Exception:
         return None

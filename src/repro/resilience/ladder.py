@@ -42,7 +42,7 @@ from repro.fusion.errors import FusionError, IllegalMLDGError
 from repro.fusion.hyperplane import hyperplane_parallel_fusion
 from repro.fusion.legal import legal_fusion_retiming
 from repro.graph.analysis import is_acyclic
-from repro.graph.legality import check_legal
+from repro.graph.legality import LegalityReport, check_legal
 from repro.graph.mldg import MLDG
 from repro.perf.memo import cached_retiming, cached_schedule_retiming
 from repro.resilience import faults
@@ -196,6 +196,7 @@ def fuse_resilient(
     verify_execution: bool = True,
     bounds: Optional[Sequence[int]] = None,
     gate: Optional[Gate] = None,
+    legality: Optional[LegalityReport] = None,
 ) -> ResilientFusionResult:
     """Fuse ``g`` with graceful, verified degradation.
 
@@ -223,6 +224,9 @@ def fuse_resilient(
         to degrade past the rung.  Used by
         :func:`repro.resilience.pipeline.fuse_program_resilient` to run
         codegen + bit-exact equivalence per rung.
+    legality:
+        :func:`~repro.graph.legality.check_legal`'s report on ``g`` when the
+        caller already has it (the compile pipeline's lint pass made one).
     """
     if isinstance(min_rung, str):
         min_rung = rung_from_label(min_rung)
@@ -243,7 +247,8 @@ def fuse_resilient(
         report.notes.append(f"graph exceeds budget caps: {exc}")
 
     if oversize is None:
-        legality = check_legal(g)
+        if legality is None:
+            legality = check_legal(g)
         if not legality.legal:
             from repro.lint.engine import diagnostics_from_legality
 
@@ -514,7 +519,7 @@ def _run_rung(
         notes.append("Algorithm 2 (LLOFRA, serial fused loop)")
 
     # gates: always against the TRUE graph ------------------------------ #
-    verification = verify_retiming(g, r, cycle_limit=100)
+    verification = verify_retiming(g, r)
     if rung is Rung.DOALL:
         if not verification.ok_for_parallel_fusion:
             raise RungRejected(

@@ -31,7 +31,7 @@ import json
 import platform
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["LoadgenOptions", "run_loadgen", "BENCH_SCHEMA"]

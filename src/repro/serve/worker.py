@@ -43,7 +43,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import ExitStack
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["serve", "compile_request", "faults_allowed", "resolve_backend"]
 

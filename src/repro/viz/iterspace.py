@@ -52,7 +52,8 @@ def intra_row_arrows(
     the visual difference between the paper's Figure 7 (non-empty) and
     Figure 13 (empty).
     """
-    return [(src, dst) for (src, dst) in dependence_arrows(g_retimed, rows, cols) if src[0] == dst[0]]
+    arrows = dependence_arrows(g_retimed, rows, cols)
+    return [(src, dst) for (src, dst) in arrows if src[0] == dst[0]]
 
 
 def format_iteration_space(g_retimed: MLDG, rows: int = 4, cols: int = 4) -> str:

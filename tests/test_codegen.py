@@ -15,7 +15,6 @@ from repro.gallery.paper import (
     figure2_code,
     figure2_expected_alg4_retiming,
     figure2_expected_llofra_retiming,
-    figure2_mldg,
 )
 from repro.loopir import parse_program
 from repro.retiming import Retiming

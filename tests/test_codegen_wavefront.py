@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codegen import apply_fusion, emit_wavefront_program, wavefront_iterations
+from repro.codegen import emit_wavefront_program, wavefront_iterations
 from repro.gallery.extended import extended_kernels
 from repro.pipeline import fuse_program
 from repro.vectors import IVec

@@ -1,0 +1,120 @@
+"""One analysis per compile: every front-end product is computed once.
+
+A strict ``fuse_program`` used to re-run the analysis engine, the
+dependence table, MLDG extraction and the LLOFRA legality solve in several
+passes.  These tests count the calls per compile by wrapping each function
+wherever the package imported it, and pin that sharing the products left
+the pipeline's diagnostics identical to the standalone linter's.
+"""
+
+from __future__ import annotations
+
+import functools
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import repro.analysis.engine as analysis_engine
+import repro.depend.extract as extract
+import repro.fusion.legal as fusion_legal
+import repro.graph.legality as legality
+from repro.core.session import Session
+from repro.gallery.common import phantom_dependence_code
+from repro.gallery.paper import figure2_code
+from repro.graph.random_gen import random_legal_mldg
+from repro.lint.engine import lint_source
+from repro.loopir.printer import format_program
+from repro.loopir.synthesize import program_from_mldg
+from repro.retiming import Retiming
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.loop"))
+
+#: Every MLDG extraction goes through ``mldg_from_records``; the LLOFRA
+#: system is solved by the legality check and by the strategies built on
+#: Algorithm 2 (``fusion.legal``).
+COUNTED = (
+    (analysis_engine, "analyze_nest"),
+    (extract, "dependence_table"),
+    (extract, "mldg_from_records"),
+    (legality, "_llofra_feasible_retiming"),
+    (fusion_legal, "_llofra_system"),
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counts of the :data:`COUNTED` functions and ``Retiming.apply``."""
+    counts: Counter = Counter()
+
+    def counting(label, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[label] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in COUNTED:
+        original = getattr(module, name)
+        wrapper = counting(name, original)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("repro"):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(Retiming, "apply", counting("apply", Retiming.apply))
+    return counts
+
+
+def _generated_program(loops: int, seed: int) -> str:
+    return format_program(program_from_mldg(random_legal_mldg(loops, seed=seed)))
+
+
+@pytest.mark.parametrize(
+    "source, strategy",
+    [
+        (figure2_code(), "cyclic"),
+        (_generated_program(8, 3), "cyclic"),
+        (_generated_program(10, 11), "hyperplane"),
+    ],
+    ids=["fig2", "generated", "generated-hyperplane"],
+)
+def test_each_product_is_computed_once(calls, source, strategy):
+    out = Session.isolated().fuse_program(source)
+    assert out.fusion.strategy.value == strategy
+    assert calls["analyze_nest"] == 1
+    assert calls["dependence_table"] == 1
+    assert calls["mldg_from_records"] == 1
+    assert calls["apply"] == 1
+    assert calls["_llofra_feasible_retiming"] == 1
+    # Algorithm 5 solves LLOFRA itself, under the session's budget
+    assert calls["_llofra_system"] == (strategy == "hyperplane")
+
+
+def test_pruning_decides_legality_again_on_the_pruned_graph(calls):
+    out = Session.isolated().fuse_program(phantom_dependence_code())
+    assert any(n.startswith("pruned ") for n in out.notes)
+    assert calls["analyze_nest"] == 1
+    assert calls["dependence_table"] == 1
+    assert calls["mldg_from_records"] == 1
+    assert calls["apply"] == 1
+    # once on the extracted graph (lint), once on the pruned one
+    assert calls["_llofra_feasible_retiming"] == 2
+
+
+def test_cache_hits_still_verify_with_one_apply(calls):
+    session = Session.isolated()
+    session.fuse_program(figure2_code())
+    calls.clear()
+    out = session.fuse_program(figure2_code())
+    assert out.fusion.verification.ok_for_parallel_fusion
+    assert calls["apply"] == 1
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=[p.name for p in EXAMPLES])
+def test_pipeline_diagnostics_equal_the_linter(path):
+    source = path.read_text()
+    out = Session.isolated().fuse_program(source)
+    assert out.diagnostics == lint_source(source, path=str(path)).diagnostics

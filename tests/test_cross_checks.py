@@ -16,7 +16,7 @@ from repro.gallery import figure14_mldg
 from repro.gallery.extended import extended_kernels
 from repro.loopir import parse_program
 from repro.machine import hyperplane_profile, profile_fusion, unfused_profile
-from repro.transforms import Unimodular, interchange, reversal, skew
+from repro.transforms import interchange, reversal, skew
 from repro.vectors import IVec
 
 

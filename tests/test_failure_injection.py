@@ -14,13 +14,12 @@ The targeted corruption helper now lives in :mod:`repro.resilience.faults`
 import pytest
 
 from repro.codegen import ArrayStore, apply_fusion, run_fused, run_original
-from repro.depend import extract_mldg
 from repro.fusion import fuse
 from repro.gallery import figure2_mldg
 from repro.gallery.paper import figure2_code
 from repro.loopir import parse_program
 from repro.resilience.faults import perturb_retiming as _corrupt
-from repro.retiming import Retiming, verify_retiming
+from repro.retiming import verify_retiming
 from repro.vectors import IVec
 from repro.verify import (
     DataflowSemantics,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.fusion import (
-    FusionError,
     IllegalMLDGError,
     NoParallelRetimingError,
     NotAcyclicError,

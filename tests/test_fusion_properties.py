@@ -33,7 +33,7 @@ def test_theorem_3_2_llofra_always_succeeds(seed, n):
 def test_retiming_preserves_cycle_weights(seed, n):
     g = random_legal_mldg(n, seed=seed)
     r = legal_fusion_retiming(g)
-    assert verify_retiming(g, r, cycle_limit=200).cycles_preserved
+    assert verify_retiming(g, r).cycles_preserved
 
 
 @given(seeds, sizes)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.graph import (
-    MLDG,
     VectorClass,
     check_legal,
     classify_vector,

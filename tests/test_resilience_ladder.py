@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.fusion import Strategy, fuse
+from repro.fusion import fuse
 from repro.gallery import (
     figure2_mldg,
     figure8_mldg,

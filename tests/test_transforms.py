@@ -1,7 +1,6 @@
 """Unit and property tests for unimodular transformations."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.fusion import fuse, hyperplane_parallel_fusion
 from repro.gallery import figure2_mldg, figure14_mldg, floyd_steinberg_mldg
