@@ -11,8 +11,6 @@ The composable heart of the library (docs/ARCHITECTURE.md):
   -> lint -> extract-mldg -> legality -> fuse -> verify-retiming ->
   codegen) with uniform tracing, metrics and error-to-diagnostic
   conversion.
-* :mod:`~repro.core.strategies` registers the paper's algorithms as
-  reorderable strategy passes consumed by :func:`repro.fusion.fuse`.
 * :class:`~repro.core.codes.ExitCode` is the one exit-code table shared
   by every CLI subcommand.
 

@@ -29,11 +29,11 @@ from repro.codegen import apply_fusion
 from repro.codegen.fused import DeadlockError, FusedProgram
 from repro.depend.extract import DependenceRecord, dependence_table, mldg_from_records
 from repro.fusion.driver import FusionResult, Strategy, fuse
-from repro.fusion.errors import FusionError, IllegalMLDGError
-from repro.graph.legality import LegalityReport, check_legal
+from repro.fusion.errors import FusionError, require_legal
+from repro.graph.legality import LegalityReport
 from repro.graph.mldg import MLDG
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.engine import diagnostics_from_legality, lint_context, nest_context
+from repro.lint.engine import lint_context, nest_context
 from repro.loopir import LoopNest, parse_program
 from repro.loopir.validate import ModelFinding, ValidationError, model_findings
 
@@ -183,17 +183,12 @@ class LegalityPass(Pass):
 
     def run(self, artifact: Artifact, session: "Session") -> None:
         assert artifact.mldg is not None
-        if artifact.legality is None:
-            artifact.legality = check_legal(artifact.mldg)
-        report = artifact.legality
-        if not report.legal:
-            raise IllegalMLDGError(
-                report.violations, diagnostics=diagnostics_from_legality(report)
-            )
+        artifact.legality = require_legal(artifact.mldg, artifact.legality)
 
 
 class FusePass(Pass):
-    """Strategy dispatch: the registered strategy passes behind ``fuse()``."""
+    """Graph-level fusion: ``fuse()`` with the session's budget and the
+    artifact's legality report."""
 
     name = "fuse"
     span_name = "pipeline.fuse"

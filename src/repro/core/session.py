@@ -9,7 +9,7 @@ caches, obs tracer/metrics.  A :class:`Session` owns all of it:
   call runs under;
 * ``tracer`` / ``registry`` -- session-scoped observability (``None``
   keeps the process-wide defaults);
-* ``caches`` -- fusion/retiming/kernel memo caches
+* ``caches`` -- fusion/kernel memo caches
   (:meth:`SessionCaches.private` isolates them per session);
 * ``diagnostics`` -- every structured finding the session's pipelines
   accumulated, thread-safe.
@@ -69,11 +69,7 @@ __all__ = ["LADDER_VARIANTS", "Session", "SessionCaches", "SessionOptions"]
 LADDER_VARIANTS = {
     # the full descent (the default; docs/RESILIENCE.md)
     "full": ("doall", "hyperplane", "legal-only", "partition", "none"),
-    # skip the wavefront rung (callers that cannot run hyperplane loops)
-    "row-parallel": ("doall", "legal-only", "partition", "none"),
-    # never emit a parallel loop: serial fusion or bust
-    "serial": ("legal-only", "partition", "none"),
-    # cheapest possible answers only
+    # cheapest possible answers only (serve's grace-budget fallback)
     "conservative": ("partition", "none"),
 }
 
@@ -139,7 +135,7 @@ class SessionCaches:
     session shares state with the legacy module-global behavior; use
     :meth:`private` for fully isolated caches.
 
-    ``store`` is the L2 disk tier beneath the fusion/retiming caches: a
+    ``store`` is the L2 disk tier beneath the fusion cache: a
     ``None`` store falls back to the ``REPRO_FUSE_STORE`` environment
     default (resolved by :func:`repro.store.active_store`).  Unlike the
     L1 caches it is *shared* state by design -- many sessions and many
@@ -147,7 +143,6 @@ class SessionCaches:
     """
 
     fusion: Optional[MemoCache] = None
-    retiming: Optional[MemoCache] = None
     kernels: Optional[MemoCache] = None
     store: Optional["CompileStore"] = None
 
@@ -156,13 +151,11 @@ class SessionCaches:
         cls,
         *,
         fusion_size: int = 256,
-        retiming_size: int = 512,
         kernel_size: int = 128,
     ) -> "SessionCaches":
         """Fresh, session-owned caches (sized like the process defaults)."""
         return cls(
             fusion=MemoCache(maxsize=fusion_size),
-            retiming=MemoCache(maxsize=retiming_size),
             kernels=MemoCache(maxsize=kernel_size),
         )
 
@@ -473,7 +466,7 @@ class Session:
             bits.append("registry")
         if any(
             c is not None
-            for c in (self.caches.fusion, self.caches.retiming, self.caches.kernels)
+            for c in (self.caches.fusion, self.caches.kernels)
         ):
             bits.append("private-caches")
         inner = ", ".join(bits) if bits else "defaults"

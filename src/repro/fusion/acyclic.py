@@ -22,13 +22,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
-
 from repro.constraints import VectorConstraintSystem
 from repro.constraints.constraint_graph import ConstraintGraph
-from repro.fusion.errors import IllegalMLDGError, NotAcyclicError
-from repro.graph.analysis import is_acyclic
-from repro.graph.legality import check_legal
+from repro.fusion.errors import NotAcyclicError, require_legal
+from repro.graph.analysis import canonical_cycle, is_acyclic
 from repro.graph.mldg import MLDG
 from repro.resilience.budget import Budget
 from repro.retiming import Retiming
@@ -65,16 +62,9 @@ def acyclic_parallel_retiming(
     so the fused loop runs under the strict row schedule ``(1, 0)``.
     """
     if check:
-        report = check_legal(g)
-        if not report.legal:
-            from repro.lint.engine import diagnostics_from_legality
-
-            raise IllegalMLDGError(
-                report.violations, diagnostics=diagnostics_from_legality(report)
-            )
+        require_legal(g)
     if not is_acyclic(g):
-        cycle = next(iter(nx.simple_cycles(g.structure_digraph())), None)
-        raise NotAcyclicError(list(cycle) if cycle else None)
+        raise NotAcyclicError(canonical_cycle(g.structure_digraph(), g.nodes))
 
     solution = _acyclic_system(g).solve(budget=budget)
     # Algorithm 3's final step: zero every coordinate after the first (the

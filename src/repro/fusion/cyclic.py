@@ -44,8 +44,7 @@ from repro.constraints import (
     ScalarConstraintSystem,
 )
 from repro.constraints.constraint_graph import ConstraintGraph
-from repro.fusion.errors import IllegalMLDGError, NoParallelRetimingError
-from repro.graph.legality import check_legal
+from repro.fusion.errors import NoParallelRetimingError, require_legal
 from repro.graph.mldg import MLDG
 from repro.resilience.budget import Budget
 from repro.retiming import Retiming
@@ -119,13 +118,7 @@ def cyclic_parallel_retiming(
     """
     _check_2d(g)
     if check:
-        report = check_legal(g)
-        if not report.legal:
-            from repro.lint.engine import diagnostics_from_legality
-
-            raise IllegalMLDGError(
-                report.violations, diagnostics=diagnostics_from_legality(report)
-            )
+        require_legal(g)
 
     try:
         r_x = _phase_one_system(g).solve(budget=budget)

@@ -30,11 +30,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
-from repro.fusion.errors import FusionError, IllegalMLDGError
-from repro.graph.legality import LegalityReport, check_legal
+from repro.fusion.acyclic import acyclic_parallel_retiming
+from repro.fusion.cyclic import cyclic_parallel_retiming
+from repro.fusion.errors import FusionError, NoParallelRetimingError, require_legal
+from repro.fusion.hyperplane import hyperplane_parallel_fusion
+from repro.fusion.legal import legal_fusion_retiming
+from repro.graph.analysis import is_acyclic
+from repro.graph.legality import LegalityReport, is_fusion_legal
 from repro.graph.mldg import MLDG
 from repro.perf.memo import (
     canonical_mldg_key,
@@ -43,7 +48,7 @@ from repro.perf.memo import (
     structural_hash,
 )
 from repro.resilience.budget import Budget
-from repro.retiming import Retiming
+from repro.retiming import ROW_SCHEDULE, Retiming
 from repro.retiming.verify import RetimingVerification, verify_retiming
 from repro.store import CompileStore, active_store, current_fingerprint
 from repro.vectors import IVec
@@ -236,7 +241,11 @@ def fuse(
 
     ``legality`` is :func:`~repro.graph.legality.check_legal`'s report on
     ``g`` when the caller already has it; a cold compile then skips that
-    solve.
+    solve.  Its LLOFRA solution also stands in for the solve of
+    ``legal-only`` and ``hyperplane`` (the ``auto`` fallback included)
+    exactly when a cache hit could stand in for solver work: under a
+    work-limiting budget or an active fault injector they solve again,
+    under the budget.
     """
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
@@ -284,7 +293,9 @@ def fuse(
             reg.counter("store.bypassed").inc()
             sp.set(cache="bypassed")
 
-        result = _fuse_uncached(g, strategy, budget, legality)
+        result = _fuse_uncached(
+            g, strategy, budget, legality, reuse_llofra=memo_ok
+        )
         if memo_ok:
             payload = _dehydrate(result)
             fusion_cache().put(key, payload)
@@ -320,50 +331,90 @@ def _fuse_from_store(
         return None
 
 
-def _make_result(
-    g: MLDG,
-    r: Retiming,
-    strategy_name: str,
-    *,
-    schedule: IVec,
-    hyperplane: Optional[IVec],
-    notes: Optional[List[str]] = None,
-    retimed: Optional[MLDG] = None,
-) -> FusionResult:
-    """The ``make_result`` callback handed to the strategy passes: binds
-    the string strategy name back to the enum and verifies via :func:`_result`."""
-    return _result(
-        g, r, Strategy(strategy_name),
-        schedule=schedule, hyperplane=hyperplane, notes=notes, retimed=retimed,
-    )
-
-
 def _fuse_uncached(
     g: MLDG,
     strategy: Strategy,
     budget: Optional[Budget],
     legality: Optional[LegalityReport],
+    *,
+    reuse_llofra: bool,
 ) -> FusionResult:
     """The strategy dispatch behind :func:`fuse` (no memoization).
 
-    Legality is checked here once (or taken from ``legality``); the
-    algorithms themselves dispatch through the registered strategy passes
-    (:mod:`repro.core.strategies`), each of which returns through
-    :func:`_make_result` so the verification gate still guards every exit.
+    Legality is checked here once (or taken from ``legality``).  Its LLOFRA
+    solution is Algorithm 2's retiming and Algorithm 5's (Theorem 4.4), so
+    with ``reuse_llofra`` those strategies take it instead of solving again.
+    ``auto`` tries Algorithm 3 on DAGs, else Algorithm 4, and falls back to
+    Algorithm 5 with a note when Theorem 4.2's conditions fail.
     """
-    report = legality if legality is not None else check_legal(g)
-    if not report.legal:
-        # structured diagnostics ride along so callers see codes and spans
-        from repro.lint.engine import diagnostics_from_legality
+    report = require_legal(g, legality)
+    llofra = report.solution if reuse_llofra else None
+    if strategy is Strategy.AUTO:
+        if is_acyclic(g):
+            strategy = Strategy.ACYCLIC
+        else:
+            try:
+                return _run_algorithm(g, Strategy.CYCLIC, budget, llofra)
+            except NoParallelRetimingError as exc:
+                return _run_algorithm(
+                    g,
+                    Strategy.HYPERPLANE,
+                    budget,
+                    llofra,
+                    notes=[
+                        f"Theorem 4.2 conditions failed ({exc.phase} phase); "
+                        "fell back to hyperplane parallelism"
+                    ],
+                )
+    return _run_algorithm(g, strategy, budget, llofra)
 
-        raise IllegalMLDGError(
-            report.violations, diagnostics=diagnostics_from_legality(report)
+
+def _run_algorithm(
+    g: MLDG,
+    strategy: Strategy,
+    budget: Optional[Budget],
+    llofra: Optional[Dict[str, IVec]],
+    *,
+    notes: Optional[List[str]] = None,
+) -> FusionResult:
+    """Run one forced strategy on a legal ``g``; every exit is verified by
+    :func:`_result`."""
+    if strategy is Strategy.HYPERPLANE:
+        hp = hyperplane_parallel_fusion(
+            g, check=False, budget=budget, solution=llofra
         )
+        return _result(
+            g,
+            hp.retiming,
+            strategy,
+            schedule=hp.schedule,
+            hyperplane=hp.hyperplane,
+            notes=notes,
+            retimed=hp.retimed,
+        )
+    if strategy is Strategy.DIRECT:
+        if not is_fusion_legal(g):
+            from repro.lint.engine import LintContext
+            from repro.lint.registry import get_rule
 
-    # Function-local import: repro.core.strategies imports the algorithm
-    # modules, which sit beside this driver in the package graph.
-    from repro.core.strategies import run_strategy
-
-    result = run_strategy(g, strategy.value, _make_result, budget=budget)
-    assert isinstance(result, FusionResult)
-    return result
+            diags = list(get_rule("LF201").run(LintContext(mldg=g)))
+            raise FusionError(
+                "direct fusion is illegal: fusion-preventing dependencies exist "
+                "(use LLOFRA or a parallel strategy)",
+                diagnostics=diags,
+            )
+        return _result(
+            g,
+            Retiming.zero(dim=g.dim),
+            strategy,
+            schedule=ROW_SCHEDULE,
+            hyperplane=None,
+            notes=["no retiming applied"],
+        )
+    if strategy is Strategy.LEGAL_ONLY:
+        r = legal_fusion_retiming(g, check=False, budget=budget, solution=llofra)
+    elif strategy is Strategy.ACYCLIC:
+        r = acyclic_parallel_retiming(g, check=False, budget=budget)
+    else:
+        r = cyclic_parallel_retiming(g, check=False, budget=budget)
+    return _result(g, r, strategy, schedule=ROW_SCHEDULE, hyperplane=None)

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from repro.graph.legality import LegalityReport, check_legal
+from repro.graph.mldg import MLDG
+
 if TYPE_CHECKING:  # pragma: no cover - avoid an import cycle at runtime
     from repro.lint.diagnostics import Diagnostic
 
@@ -19,6 +22,7 @@ __all__ = [
     "IllegalMLDGError",
     "NotAcyclicError",
     "NoParallelRetimingError",
+    "require_legal",
 ]
 
 
@@ -87,3 +91,18 @@ class NoParallelRetimingError(FusionError):
         )
         self.phase = phase
         self.cycle = cycle
+
+
+def require_legal(g: MLDG, report: Optional[LegalityReport] = None) -> LegalityReport:
+    """The legality gate: ``report`` (or a fresh :func:`check_legal` of ``g``)
+    when ``g`` is legal, else :class:`IllegalMLDGError` with diagnostics."""
+    if report is None:
+        report = check_legal(g)
+    if not report.legal:
+        # structured diagnostics ride along so callers see codes and spans
+        from repro.lint.engine import diagnostics_from_legality
+
+        raise IllegalMLDGError(
+            report.violations, diagnostics=diagnostics_from_legality(report)
+        )
+    return report

@@ -14,7 +14,7 @@ On the paper's Figure 14 this yields ``s = (5, 1)`` and ``h = (1, -5)``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.fusion.legal import legal_fusion_retiming
 from repro.graph.mldg import MLDG
@@ -58,18 +58,23 @@ class HyperplaneFusion:
 
 
 def hyperplane_parallel_fusion(
-    g: MLDG, *, check: bool = True, budget: Optional[Budget] = None
+    g: MLDG,
+    *,
+    check: bool = True,
+    budget: Optional[Budget] = None,
+    solution: Optional[Dict[str, IVec]] = None,
 ) -> HyperplaneFusion:
     """Algorithm 5: LLOFRA retiming plus wavefront schedule and hyperplane.
 
     Always succeeds on a legal 2-D MLDG (Theorem 4.4).  Raises
     :class:`~repro.fusion.errors.IllegalMLDGError` otherwise, and
     ``ValueError`` for non-2-D graphs (the hyperplane construction is
-    two-dimensional).
+    two-dimensional).  ``solution`` is a LLOFRA solution already in hand
+    (see :func:`~repro.fusion.legal.legal_fusion_retiming`).
     """
     if g.dim != 2:
         raise ValueError("Algorithm 5's hyperplane construction is two-dimensional")
-    r = legal_fusion_retiming(g, check=check, budget=budget)
+    r = legal_fusion_retiming(g, check=check, budget=budget, solution=solution)
     gr = r.apply(g)
     s = schedule_vector_for(sorted(gr.all_vectors()))
     h = hyperplane_for_schedule(s)

@@ -16,24 +16,18 @@ Complexity: ``O(|V| * |E|)`` vector operations -- one Bellman-Ford run.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
-from repro.constraints import InfeasibleSystemError, VectorConstraintSystem
+from repro.constraints import InfeasibleSystemError
 from repro.constraints.constraint_graph import ConstraintGraph
-from repro.fusion.errors import IllegalMLDGError
-from repro.graph.legality import check_legal
+from repro.fusion.errors import IllegalMLDGError, require_legal
+from repro.graph.legality import _llofra_system
 from repro.graph.mldg import MLDG
 from repro.resilience.budget import Budget
 from repro.retiming import Retiming
+from repro.vectors import IVec
 
 __all__ = ["legal_fusion_retiming", "llofra", "llofra_constraint_graph"]
-
-
-def _llofra_system(g: MLDG) -> VectorConstraintSystem:
-    system = VectorConstraintSystem(g.nodes, dim=g.dim)
-    for e in g.edges():
-        system.add_leq(e.src, e.dst, e.delta)
-    return system
 
 
 def llofra_constraint_graph(g: MLDG) -> ConstraintGraph:
@@ -42,7 +36,11 @@ def llofra_constraint_graph(g: MLDG) -> ConstraintGraph:
 
 
 def legal_fusion_retiming(
-    g: MLDG, *, check: bool = True, budget: Optional[Budget] = None
+    g: MLDG,
+    *,
+    check: bool = True,
+    budget: Optional[Budget] = None,
+    solution: Optional[Dict[str, IVec]] = None,
 ) -> Retiming:
     """Algorithm 2: a retiming making loop fusion legal.
 
@@ -58,19 +56,20 @@ def legal_fusion_retiming(
         Optional :class:`~repro.resilience.budget.Budget` bounding the
         Bellman-Ford solve; exhaustion raises
         :class:`~repro.resilience.budget.BudgetExceededError`.
+    solution:
+        A feasible solution of this same system already in hand -- the
+        :attr:`~repro.graph.legality.LegalityReport.solution` that proved
+        ``g`` legal.  It is the retiming (same system, same solver), so no
+        solve runs; the caller decides whether its budget allows the reuse.
 
     Returns the retiming whose values are the shortest-path distances from
     ``v_0`` -- exactly the function the paper reports in Figure 6
     (``r(C) = (0,-2)``, ``r(D) = (0,-3)`` for the running example).
     """
     if check:
-        report = check_legal(g)
-        if not report.legal:
-            from repro.lint.engine import diagnostics_from_legality
-
-            raise IllegalMLDGError(
-                report.violations, diagnostics=diagnostics_from_legality(report)
-            )
+        require_legal(g)
+    if solution is not None:
+        return Retiming(solution, dim=g.dim)
     try:
         solution = _llofra_system(g).solve(budget=budget)
     except InfeasibleSystemError as exc:

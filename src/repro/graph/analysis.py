@@ -7,7 +7,7 @@ These wrap networkx on the plain edge relation of an
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -17,6 +17,7 @@ from repro.vectors import IVec
 __all__ = [
     "is_acyclic",
     "enumerate_cycles",
+    "canonical_cycle",
     "cycle_weight",
     "strongly_connected_components",
     "topological_order",
@@ -41,6 +42,41 @@ def enumerate_cycles(g: MLDG, limit: int | None = None) -> Iterator[List[str]]:
         count += 1
         if limit is not None and count >= limit:
             return
+
+
+def canonical_cycle(graph: nx.DiGraph, order: Sequence[str]) -> Optional[List[str]]:
+    """One cycle of ``graph`` chosen independently of string hashing, or ``None``.
+
+    ``nx.simple_cycles`` walks sets of node names, so the cycle it yields
+    first changes with ``PYTHONHASHSEED``.  This one starts at the earliest
+    node of ``order`` (program order) that lies on a cycle and is the
+    shortest cycle through it; a breadth-first search visiting successors
+    in ``order`` breaks ties.  Listed from that node, closing edge implied.
+    """
+    on_cycle = {v for v in graph.nodes if graph.has_edge(v, v)}
+    for component in nx.strongly_connected_components(graph):
+        if len(component) > 1:
+            on_cycle |= component
+    start = next((v for v in order if v in on_cycle), None)
+    if start is None:
+        return None
+    rank = {v: k for k, v in enumerate(order)}
+    parent: Dict[str, str] = {}
+    frontier = [start]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for w in sorted(graph.successors(u), key=rank.__getitem__):
+                if w == start:
+                    cycle = [u]
+                    while cycle[-1] != start:
+                        cycle.append(parent[cycle[-1]])
+                    return cycle[::-1]
+                if w not in parent:
+                    parent[w] = u
+                    reached.append(w)
+        frontier = reached
+    raise AssertionError(f"{start!r} lies on a cycle but none was found")
 
 
 def cycle_weight(g: MLDG, cycle: Sequence[str]) -> IVec:

@@ -65,7 +65,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import networkx as nx
 
 from repro.constraints import InfeasibleSystemError, VectorConstraintSystem
-from repro.graph.analysis import cycle_weight, enumerate_cycles
+from repro.graph.analysis import canonical_cycle, cycle_weight, enumerate_cycles
 from repro.graph.edges import DependenceEdge
 from repro.graph.mldg import MLDG
 from repro.vectors import IVec, lex_nonnegative
@@ -150,13 +150,16 @@ class LegalityReport:
         return self.legal
 
 
-def _llofra_feasible_retiming(g: MLDG):
-    """Solve the LLOFRA system directly (local copy to avoid an import cycle
-    with :mod:`repro.fusion.legal`, which depends on this module)."""
+def _llofra_system(g: MLDG) -> VectorConstraintSystem:
+    """The LLOFRA difference-constraint system ``r(v) - r(u) <= delta_L(e)``.
+
+    One definition serves legality (Theorem 2.3), the zero-weight-cycle
+    check and Algorithm 2 (:mod:`repro.fusion.legal`).
+    """
     system = VectorConstraintSystem(g.nodes, dim=g.dim)
     for e in g.edges():
         system.add_leq(e.src, e.dst, e.delta)
-    return system.solve()
+    return system
 
 
 def check_legal(g: MLDG) -> LegalityReport:
@@ -170,7 +173,7 @@ def check_legal(g: MLDG) -> LegalityReport:
     findings: List[LegalityFinding] = []
     solution = None
     try:
-        solution = _llofra_feasible_retiming(g)
+        solution = _llofra_system(g).solve()
     except InfeasibleSystemError as exc:
         cyc = " -> ".join(map(str, exc.cycle))
         findings.append(
@@ -202,10 +205,12 @@ def zero_weight_cycle(
     cycles are instance-level deadlocks; see the module docstring for why
     the paper's Figure 14 nonetheless contains one.  Pass the
     :attr:`LegalityReport.solution` of ``g`` to skip solving LLOFRA again.
+    The cycle is :func:`~repro.graph.analysis.canonical_cycle`'s choice, so
+    its text is the same in every process.
     """
     if solution is None:
         try:
-            solution = _llofra_feasible_retiming(g)
+            solution = _llofra_system(g).solve()
         except InfeasibleSystemError as exc:
             raise ValueError(
                 f"graph is not legal (negative cycle {exc.cycle}); "
@@ -218,8 +223,7 @@ def zero_weight_cycle(
     for e in retimed.edges():
         if e.delta == zero:
             zero_graph.add_edge(e.src, e.dst)
-    cycle = next(iter(nx.simple_cycles(zero_graph)), None)
-    return list(cycle) if cycle is not None else None
+    return canonical_cycle(zero_graph, g.nodes)
 
 
 def is_deadlock_free(g: MLDG) -> bool:

@@ -27,18 +27,17 @@ STATS_SCHEMA = "repro-stats/1"
 def cache_snapshot() -> Dict[str, Dict[str, Any]]:
     """Current hit/miss/eviction statistics of every cache tier in scope.
 
-    The three L1 memo caches are always present; the ``store`` block (the
-    L2 disk tier, :mod:`repro.store`) appears when one is configured for
-    this context -- its dict carries the same hits/misses/evictions/
+    The two L1 memo caches (fusion, kernels) are always present; the
+    ``store`` block (the L2 disk tier, :mod:`repro.store`) appears when one
+    is configured for this context -- its dict carries the same hits/misses/evictions/
     currsize core plus file-level fields (``sizeBytes``, ``storedHits``).
     """
     from repro.codegen.pycompile import kernel_cache_info
-    from repro.perf.memo import fusion_cache, retiming_cache
+    from repro.perf.memo import fusion_cache
     from repro.store import active_store
 
     snap = {
         "fusion": fusion_cache().cache_info().to_dict(),
-        "retiming": retiming_cache().cache_info().to_dict(),
         "kernels": kernel_cache_info().to_dict(),
     }
     store = active_store()

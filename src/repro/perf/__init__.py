@@ -19,7 +19,6 @@ __all__ = [
     "canonical_mldg_key",
     "structural_hash",
     "fusion_cache",
-    "retiming_cache",
     "clear_all_caches",
 ]
 
@@ -29,7 +28,6 @@ _LAZY = {
     "canonical_mldg_key": "repro.perf.memo",
     "structural_hash": "repro.perf.memo",
     "fusion_cache": "repro.perf.memo",
-    "retiming_cache": "repro.perf.memo",
     "clear_all_caches": "repro.perf.memo",
 }
 
@@ -40,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         canonical_mldg_key,
         clear_all_caches,
         fusion_cache,
-        retiming_cache,
         structural_hash,
     )
 

@@ -8,15 +8,11 @@ index and edges are sorted -- so isomorphic-but-relabelled queries share one
 cache entry, while anything semantic (dimension, program order, dependence
 vector sets) stays in the key.
 
-Two LRU caches are built on it:
+The **fusion cache** is built on it: it stores whole name-free fusion
+outcomes for :func:`repro.fusion.fuse`, which the strict pipeline and the
+resilience ladder's rungs both call.
 
-* the **fusion cache** (consumed by :func:`repro.fusion.fuse`) stores whole
-  name-free fusion outcomes;
-* the **retiming cache** (consumed by the resilience ladder) stores raw
-  per-strategy retimings, so `fuse_resilient` skips the constraint solvers
-  on repeats while still running every verification gate.
-
-Both are bypassed whenever the answer could legitimately differ from the
+It is bypassed whenever the answer could legitimately differ from the
 pure structural query: a *limiting* :class:`~repro.resilience.budget.Budget`
 (the caller is probing resource behaviour, and a cache hit consumes no
 solver budget) or an active fault injector (the algorithms must see the
@@ -25,11 +21,6 @@ corrupted values).  ``REPRO_FUSE_MEMO=0`` disables memoization globally.
 The same predicate (:func:`memoization_applicable`) also gates the L2
 disk tier (:mod:`repro.store`): when it says no, neither tier is read or
 written, so a chaos run can never persist a fault-corrupted retiming.
-The retiming cache's L2 path re-verifies every disk row with
-:func:`repro.retiming.verify.verify_retiming` before returning it --
-even though L1 callers re-run their own gates -- because disk rows cross
-process and version boundaries and must never propagate garbage into the
-ladder's search order.
 """
 
 from __future__ import annotations
@@ -38,22 +29,11 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from typing import (
-    Any,
-    Callable,
-    Hashable,
-    NamedTuple,
-    Optional,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Hashable, NamedTuple, Optional, Tuple
 
-from repro import obs
 from repro.core.context import current_session
 from repro.graph.mldg import MLDG
 from repro.resilience.budget import Budget
-from repro.retiming.retiming import Retiming
-from repro.vectors import IVec
 
 __all__ = [
     "CacheInfo",
@@ -61,15 +41,10 @@ __all__ = [
     "canonical_mldg_key",
     "structural_hash",
     "fusion_cache",
-    "retiming_cache",
     "memoization_enabled",
     "memoization_applicable",
-    "cached_retiming",
-    "cached_schedule_retiming",
     "clear_all_caches",
 ]
-
-T = TypeVar("T")
 
 #: Canonical key: (dim, node count, sorted edge tuples over node indices).
 CanonicalKey = Tuple[int, int, Tuple[Tuple[int, int, Tuple[Tuple[int, ...], ...]], ...]]
@@ -215,7 +190,6 @@ def structural_hash(g: MLDG) -> str:
 # ------------------------------------------------------------------ #
 
 _FUSION_CACHE = MemoCache(maxsize=256)
-_RETIMING_CACHE = MemoCache(maxsize=512)
 
 
 def fusion_cache() -> MemoCache:
@@ -230,25 +204,11 @@ def fusion_cache() -> MemoCache:
     return _FUSION_CACHE
 
 
-def retiming_cache() -> MemoCache:
-    """The cache of per-strategy retimings (ladder hot path).
-
-    Session-scoped when the active :class:`repro.core.Session` carries a
-    private retiming cache; the process-wide default otherwise.
-    """
-    session = current_session()
-    if session is not None and session.caches.retiming is not None:
-        return session.caches.retiming
-    return _RETIMING_CACHE
-
-
 def clear_all_caches() -> None:
     """Clear the caches visible from this context (session-scoped ones
     when a session with private caches is active, plus the globals)."""
     fusion_cache().clear()
-    retiming_cache().clear()
     _FUSION_CACHE.clear()
-    _RETIMING_CACHE.clear()
 
 
 def memoization_enabled() -> bool:
@@ -259,7 +219,7 @@ def memoization_enabled() -> bool:
 def memoization_applicable(budget: Optional[Budget]) -> bool:
     """May this query be served from (and inserted into) a cache tier?
 
-    This is the single gate for *both* tiers -- the in-memory memo caches
+    This is the single gate for *both* tiers -- the in-memory fusion cache
     and the disk store (:mod:`repro.store`) -- so no bypass condition can
     ever apply to one tier and not the other.  A *work-limiting* budget
     means the caller is measuring resource consumption -- a cache hit
@@ -277,176 +237,3 @@ def memoization_applicable(budget: Optional[Budget]) -> bool:
     from repro.resilience.faults import active_fault
 
     return active_fault() is None
-
-
-# ------------------------------------------------------------------ #
-# retiming-level memoization (used by the resilience ladder)
-# ------------------------------------------------------------------ #
-
-
-def _store_shifts(raw: Any, g: MLDG) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """Shape-check a JSON shift table from the disk store for ``g``."""
-    try:
-        shifts = tuple(tuple(int(x) for x in shift) for shift in raw)
-    except (TypeError, ValueError):
-        return None
-    if len(shifts) != g.num_nodes:
-        return None
-    if any(len(shift) != g.dim for shift in shifts):
-        return None
-    return shifts
-
-
-def _verified_store_retiming(
-    g: MLDG, shifts: Tuple[Tuple[int, ...], ...]
-) -> Optional[Retiming]:
-    """Rebind a disk shift table to ``g`` and re-verify it, or ``None``."""
-    from repro.retiming.verify import verify_retiming
-
-    r = Retiming(
-        {name: IVec(*shift) for name, shift in zip(g.nodes, shifts)}, dim=g.dim
-    )
-    try:
-        if not verify_retiming(g, r).ok_for_legal_fusion:
-            return None
-    except Exception:
-        return None
-    return r
-
-
-def _active_store_for_memo() -> Optional[Any]:
-    from repro.store import active_store
-
-    return active_store()
-
-
-def cached_retiming(
-    label: str,
-    g: MLDG,
-    compute: Callable[[], Retiming],
-    *,
-    budget: Optional[Budget] = None,
-) -> Retiming:
-    """Memoize ``compute()`` (a retiming algorithm run on ``g``) by structure.
-
-    On an L1 hit the cached name-free shift table is rebound to ``g``'s
-    node names.  Callers are expected to re-run their verification gates on
-    the returned retiming -- the cache removes solver work, not checking.
-    On an L1 miss, a configured disk store (:mod:`repro.store`) is tried
-    next; disk rows are additionally re-verified here before being
-    returned, and demoted (evicted + ``store.verify_fail``) otherwise.
-    """
-    reg = obs.default_registry()
-    if not memoization_applicable(budget):
-        reg.counter("retiming.cache.bypassed").inc()
-        return compute()
-    cache = retiming_cache()
-    key = (label, canonical_mldg_key(g))
-    shifts = cache.get(key)
-    if shifts is not None:
-        reg.counter("retiming.cache.hits").inc()
-        return Retiming(
-            {name: IVec(*shift) for name, shift in zip(g.nodes, shifts)}, dim=g.dim
-        )
-    reg.counter("retiming.cache.misses").inc()
-    store = _active_store_for_memo()
-    skey = f"retiming:{label}:{structural_hash(g)}"
-    fingerprint = ""
-    if store is not None:
-        from repro.store import current_fingerprint
-
-        fingerprint = current_fingerprint()
-        raw = store.get(skey, fingerprint)
-        if raw is not None:
-            checked = _store_shifts(raw, g)
-            r2 = _verified_store_retiming(g, checked) if checked is not None else None
-            if r2 is None:
-                store.demote(skey, fingerprint)
-            else:
-                assert checked is not None
-                cache.put(key, checked)  # promote to L1
-                return r2
-    r = compute()
-    dehydrated = tuple(tuple(r[name]) for name in g.nodes)
-    cache.put(key, dehydrated)
-    if store is not None:
-        store.put(skey, fingerprint, dehydrated)
-    return r
-
-
-def cached_schedule_retiming(
-    label: str,
-    g: MLDG,
-    compute: Callable[[], Tuple[Retiming, Any]],
-    *,
-    budget: Optional[Budget] = None,
-) -> Tuple[Retiming, Any]:
-    """Like :func:`cached_retiming` for algorithms that also pick a schedule.
-
-    ``compute()`` returns ``(retiming, schedule)`` where the schedule is an
-    integer vector; both are stored name-free and rebound on a hit.
-    """
-    reg = obs.default_registry()
-    if not memoization_applicable(budget):
-        reg.counter("retiming.cache.bypassed").inc()
-        return compute()
-    cache = retiming_cache()
-    key = (label, canonical_mldg_key(g))
-    entry = cache.get(key)
-    if entry is not None:
-        shifts, sched = entry
-        reg.counter("retiming.cache.hits").inc()
-        return (
-            Retiming(
-                {name: IVec(*shift) for name, shift in zip(g.nodes, shifts)},
-                dim=g.dim,
-            ),
-            IVec(*sched),
-        )
-    reg.counter("retiming.cache.misses").inc()
-    store = _active_store_for_memo()
-    skey = f"sched:{label}:{structural_hash(g)}"
-    fingerprint = ""
-    if store is not None:
-        from repro.store import current_fingerprint
-
-        fingerprint = current_fingerprint()
-        raw = store.get(skey, fingerprint)
-        if raw is not None:
-            decoded = _decode_store_schedule_entry(raw, g)
-            if decoded is None:
-                store.demote(skey, fingerprint)
-            else:
-                shifts2, sched2 = decoded
-                r2 = _verified_store_retiming(g, shifts2)
-                if r2 is None:
-                    store.demote(skey, fingerprint)
-                else:
-                    cache.put(key, (shifts2, sched2))  # promote to L1
-                    return r2, IVec(*sched2)
-    r, s = compute()
-    dehydrated = (tuple(tuple(r[name]) for name in g.nodes), tuple(s))
-    cache.put(key, dehydrated)
-    if store is not None:
-        store.put(skey, fingerprint, dehydrated)
-    return r, s
-
-
-def _decode_store_schedule_entry(
-    raw: Any, g: MLDG
-) -> Optional[Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]]:
-    """Shape-check a JSON ``(shifts, schedule)`` row for ``g``."""
-    try:
-        raw_shifts, raw_sched = raw
-    except (TypeError, ValueError):
-        return None
-    shifts = _store_shifts(raw_shifts, g)
-    if shifts is None:
-        return None
-    try:
-        sched = tuple(int(x) for x in raw_sched)
-    except (TypeError, ValueError):
-        return None
-    if len(sched) != g.dim:
-        return None
-    return shifts, sched

@@ -19,6 +19,11 @@ misbehaves — an exception, a budget exhaustion, or a computed-but-wrong
 answer — is degraded past, never returned.  The descent is recorded in a
 :class:`~repro.resilience.report.RecoveryReport`.
 
+The three retiming rungs call the strict pipeline's
+:func:`repro.fusion.fuse` with a forced strategy, so they share its
+verified results, its L1/L2 cache rows and the legality report's LLOFRA
+solution (Theorem 4.4: Algorithm 5 is LLOFRA plus a schedule).
+
 The fault seams (:func:`repro.resilience.faults.pass_through`) feed each
 rung's *algorithm* the possibly-corrupted intermediates while the gates
 always judge against the true input: under fault injection the ladder
@@ -35,16 +40,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.codegen.fused import DeadlockError
 from repro.constraints import InfeasibleSystemError
-from repro.fusion.acyclic import acyclic_parallel_retiming
-from repro.fusion.cyclic import cyclic_parallel_retiming
-from repro.fusion.driver import Parallelism
-from repro.fusion.errors import FusionError, IllegalMLDGError
-from repro.fusion.hyperplane import hyperplane_parallel_fusion
-from repro.fusion.legal import legal_fusion_retiming
+from repro.fusion.driver import Parallelism, Strategy, fuse
+from repro.fusion.errors import FusionError, require_legal
 from repro.graph.analysis import is_acyclic
-from repro.graph.legality import LegalityReport, check_legal
+from repro.graph.legality import LegalityReport
 from repro.graph.mldg import MLDG
-from repro.perf.memo import cached_retiming, cached_schedule_retiming
 from repro.resilience import faults
 from repro.resilience.budget import Budget, BudgetExceededError
 from repro.resilience.partition import PartitionedFusion, greedy_partition, validate_partition
@@ -178,11 +178,11 @@ def _exec_ok(
     return True, None
 
 
-def _strictness_violation(g: MLDG, r: Retiming, s: IVec) -> Optional[str]:
+def _strictness_violation(retimed: MLDG, s: IVec) -> Optional[str]:
     """Check Lemma 4.3 strictness of ``s`` on the *true* retimed vectors."""
     if all(c == 0 for c in s):
         return f"schedule {s} is the zero vector"
-    for d in sorted(set(r.apply(g).all_vectors())):
+    for d in sorted(set(retimed.all_vectors())):
         if any(c != 0 for c in d) and s.dot(d) <= 0:
             return f"schedule {s} is not strict for retimed dependence vector {d}"
     return None
@@ -247,14 +247,7 @@ def fuse_resilient(
         report.notes.append(f"graph exceeds budget caps: {exc}")
 
     if oversize is None:
-        if legality is None:
-            legality = check_legal(g)
-        if not legality.legal:
-            from repro.lint.engine import diagnostics_from_legality
-
-            raise IllegalMLDGError(
-                legality.violations, diagnostics=diagnostics_from_legality(legality)
-            )
+        legality = require_legal(g, legality)
 
     box = tuple(int(b) for b in bounds) if bounds is not None else (4,) * g.dim
 
@@ -277,6 +270,7 @@ def fuse_resilient(
                 verify_execution=verify_execution,
                 box=box,
                 gate=gate,
+                legality=legality,
             )
             if attempt.status == "ok":
                 result = getattr(attempt, "_result")
@@ -325,6 +319,7 @@ def _attempt_rung(
     verify_execution: bool,
     box: Tuple[int, ...],
     gate: Optional[Gate],
+    legality: Optional[LegalityReport],
 ) -> RungAttempt:
     """Span- and counter-wrapped :func:`_attempt_rung_inner`."""
     reg = obs.default_registry()
@@ -339,6 +334,7 @@ def _attempt_rung(
             verify_execution=verify_execution,
             box=box,
             gate=gate,
+            legality=legality,
         )
         reg.counter(f"resilience.rung.{rung.label}.{attempt.status}").inc()
         for diag in attempt.diagnostics:
@@ -357,6 +353,7 @@ def _attempt_rung_inner(
     verify_execution: bool,
     box: Tuple[int, ...],
     gate: Optional[Gate],
+    legality: Optional[LegalityReport],
 ) -> RungAttempt:
     t0 = time.perf_counter()
     attempt = RungAttempt(rung=rung, status="skipped")
@@ -382,7 +379,13 @@ def _attempt_rung_inner(
 
     try:
         result = _run_rung(
-            g, rung, budget=budget, verify_execution=verify_execution, box=box, gate=gate
+            g,
+            rung,
+            budget=budget,
+            verify_execution=verify_execution,
+            box=box,
+            gate=gate,
+            legality=legality,
         )
     except RungRejected as exc:
         attempt.status = "rejected"
@@ -422,6 +425,7 @@ def _run_rung(
     verify_execution: bool,
     box: Tuple[int, ...],
     gate: Optional[Gate],
+    legality: Optional[LegalityReport],
 ) -> ResilientFusionResult:
     """Compute one rung's answer and push it through every gate.
 
@@ -467,59 +471,41 @@ def _run_rung(
             notes=[f"partition: {partition.describe()}"] + notes,
         )
 
-    # retiming rungs ---------------------------------------------------- #
+    # retiming rungs: the strict path's fuse() on the fault seam's graph -- #
     g_alg = faults.pass_through("mldg", g)
+    known = legality if g_alg is g else None
     schedule: Optional[IVec] = None
     hyperplane: Optional[IVec] = None
     notes: List[str] = []
 
-    # The solver calls are memoized by canonical structure (repro.perf.memo):
-    # a structural repeat skips the constraint solving but every gate below
-    # still runs against the true graph.  Limiting budgets and active fault
-    # injectors bypass the cache, so probes and chaos tests see real work.
     if rung is Rung.DOALL:
         if is_acyclic(g_alg):
-            r = cached_retiming(
-                "acyclic",
-                g_alg,
-                lambda: acyclic_parallel_retiming(g_alg, budget=budget),
-                budget=budget,
-            )
+            result = fuse(g_alg, Strategy.ACYCLIC, budget=budget, legality=known)
             notes.append("Algorithm 3 (acyclic DOALL fusion)")
         else:
-            r = cached_retiming(
-                "cyclic",
-                g_alg,
-                lambda: cyclic_parallel_retiming(g_alg, budget=budget),
-                budget=budget,
-            )
+            result = fuse(g_alg, Strategy.CYCLIC, budget=budget, legality=known)
             notes.append("Algorithm 4 (cyclic DOALL fusion)")
-        r = faults.pass_through("retiming", r)
+        r = faults.pass_through("retiming", result.retiming)
         schedule = ROW_SCHEDULE
     elif rung is Rung.HYPERPLANE:
-        def _hyperplane() -> Tuple[Retiming, IVec]:
-            hp = hyperplane_parallel_fusion(g_alg, budget=budget)
-            return hp.retiming, hp.schedule
-
-        hp_r, hp_s = cached_schedule_retiming(
-            "hyperplane", g_alg, _hyperplane, budget=budget
-        )
-        r = faults.pass_through("retiming", hp_r)
-        schedule = faults.pass_through("schedule", hp_s)
+        result = fuse(g_alg, Strategy.HYPERPLANE, budget=budget, legality=known)
+        r = faults.pass_through("retiming", result.retiming)
+        schedule = faults.pass_through("schedule", result.schedule)
         hyperplane = hyperplane_for_schedule(schedule)
         notes.append("Algorithm 5 (hyperplane/wavefront fusion)")
     else:  # Rung.LEGAL_FUSION
-        r = cached_retiming(
-            "legal",
-            g_alg,
-            lambda: legal_fusion_retiming(g_alg, budget=budget),
-            budget=budget,
-        )
-        r = faults.pass_through("retiming", r)
+        result = fuse(g_alg, Strategy.LEGAL_ONLY, budget=budget, legality=known)
+        r = faults.pass_through("retiming", result.retiming)
         notes.append("Algorithm 2 (LLOFRA, serial fused loop)")
 
     # gates: always against the TRUE graph ------------------------------ #
-    verification = verify_retiming(g, r)
+    # fuse() verified its answer on g_alg; that stands only when no seam
+    # changed the graph or the retiming
+    if g_alg is g and r is result.retiming:
+        verification, retimed = result.verification, result.retimed
+    else:
+        retimed = r.apply(g)
+        verification = verify_retiming(g, r, retimed=retimed)
     if rung is Rung.DOALL:
         if not verification.ok_for_parallel_fusion:
             raise RungRejected(
@@ -533,7 +519,7 @@ def _run_rung(
         )
     if rung is Rung.HYPERPLANE:
         assert schedule is not None
-        strictness = _strictness_violation(g, r, schedule)
+        strictness = _strictness_violation(retimed, schedule)
         if strictness is not None:
             raise RungRejected(strictness)
 

@@ -18,7 +18,6 @@ import pytest
 
 import repro.analysis.engine as analysis_engine
 import repro.depend.extract as extract
-import repro.fusion.legal as fusion_legal
 import repro.graph.legality as legality
 from repro.core.session import Session
 from repro.gallery.common import phantom_dependence_code
@@ -27,19 +26,19 @@ from repro.graph.random_gen import random_legal_mldg
 from repro.lint.engine import lint_source
 from repro.loopir.printer import format_program
 from repro.loopir.synthesize import program_from_mldg
+from repro.resilience import Budget
 from repro.retiming import Retiming
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.loop"))
 
-#: Every MLDG extraction goes through ``mldg_from_records``; the LLOFRA
-#: system is solved by the legality check and by the strategies built on
-#: Algorithm 2 (``fusion.legal``).
+#: Every MLDG extraction goes through ``mldg_from_records``; every LLOFRA
+#: solve -- the legality check, LF203's zero-weight cycle, Algorithm 2 and
+#: Algorithm 5 -- builds its system with ``graph.legality._llofra_system``.
 COUNTED = (
     (analysis_engine, "analyze_nest"),
     (extract, "dependence_table"),
     (extract, "mldg_from_records"),
-    (legality, "_llofra_feasible_retiming"),
-    (fusion_legal, "_llofra_system"),
+    (legality, "_llofra_system"),
 )
 
 
@@ -72,25 +71,37 @@ def _generated_program(loops: int, seed: int) -> str:
     return format_program(program_from_mldg(random_legal_mldg(loops, seed=seed)))
 
 
-@pytest.mark.parametrize(
-    "source, strategy",
+PROGRAMS = pytest.mark.parametrize(
+    "source, strategy, rung",
     [
-        (figure2_code(), "cyclic"),
-        (_generated_program(8, 3), "cyclic"),
-        (_generated_program(10, 11), "hyperplane"),
+        (figure2_code(), "cyclic", "doall"),
+        (_generated_program(8, 3), "cyclic", "doall"),
+        (_generated_program(10, 11), "hyperplane", "hyperplane"),
     ],
     ids=["fig2", "generated", "generated-hyperplane"],
 )
-def test_each_product_is_computed_once(calls, source, strategy):
+
+
+@PROGRAMS
+def test_each_product_is_computed_once(calls, source, strategy, rung):
     out = Session.isolated().fuse_program(source)
     assert out.fusion.strategy.value == strategy
     assert calls["analyze_nest"] == 1
     assert calls["dependence_table"] == 1
     assert calls["mldg_from_records"] == 1
     assert calls["apply"] == 1
-    assert calls["_llofra_feasible_retiming"] == 1
-    # Algorithm 5 solves LLOFRA itself, under the session's budget
-    assert calls["_llofra_system"] == (strategy == "hyperplane")
+    # Algorithm 5 takes the legality check's LLOFRA solution (Theorem 4.4)
+    assert calls["_llofra_system"] == 1
+
+
+@PROGRAMS
+def test_resilient_compile_solves_llofra_once(calls, source, strategy, rung):
+    out = Session.isolated().fuse_program_resilient(source)
+    assert out.rung.label == rung
+    assert calls["analyze_nest"] == 1
+    assert calls["mldg_from_records"] == 1
+    # the rungs reuse the legality report: no rung re-checks or re-solves
+    assert calls["_llofra_system"] == 1
 
 
 def test_pruning_decides_legality_again_on_the_pruned_graph(calls):
@@ -101,7 +112,19 @@ def test_pruning_decides_legality_again_on_the_pruned_graph(calls):
     assert calls["mldg_from_records"] == 1
     assert calls["apply"] == 1
     # once on the extracted graph (lint), once on the pruned one
-    assert calls["_llofra_feasible_retiming"] == 2
+    assert calls["_llofra_system"] == 2
+    calls.clear()
+    Session.isolated().fuse_program_resilient(phantom_dependence_code())
+    assert calls["_llofra_system"] == 2
+
+
+def test_work_limiting_budget_solves_under_the_budget(calls):
+    """A relaxation cap must still trip: the LLOFRA reuse obeys the same
+    rule as a cache hit, so a capped compile solves again."""
+    session = Session.isolated(budget=Budget(max_relaxation_rounds=10_000))
+    out = session.fuse_program(_generated_program(10, 11))
+    assert out.fusion.strategy.value == "hyperplane"
+    assert calls["_llofra_system"] == 2
 
 
 def test_cache_hits_still_verify_with_one_apply(calls):

@@ -126,7 +126,9 @@ def test_names_parameter_labels_positional_programs():
 
 def test_concurrent_sessions_never_observe_each_other():
     """Two sessions with different ladders running concurrently stay isolated."""
-    serial = Session.isolated(options=SessionOptions(ladder="serial"))
+    serial = Session.isolated(
+        options=SessionOptions(ladder=("legal-only", "partition", "none"))
+    )
     full = Session.isolated(options=SessionOptions(ladder="full"))
     barrier = threading.Barrier(2)
 

@@ -58,7 +58,9 @@ def test_options_default_strategy_respected():
     "variant, expected_rung",
     [
         ("full", "doall"),
-        ("serial", "legal-only"),
+        pytest.param(
+            ("legal-only", "partition", "none"), "legal-only", id="serial-legal-only"
+        ),
         ("conservative", "partition"),
     ],
 )
@@ -67,7 +69,7 @@ def test_ladder_variants_select_the_descent(variant, expected_rung):
     out = session.fuse_program_resilient(figure2_code())
     assert out.rung.label == expected_rung
     attempted = {a.rung.label for a in out.report.attempts}
-    allowed = set(LADDER_VARIANTS[variant])
+    allowed = set(session.options.ladder_labels())
     assert attempted <= allowed
 
 
