@@ -1,11 +1,12 @@
-"""The analysis driver: classify every dependence, bundle dataflow facts.
+"""The analysis driver: classify every dependence, derive access regions.
 
 :func:`analyze_nest` runs the full engine over one nest -- domain
-inference, a :class:`~repro.analysis.tests.DependenceEvidence` certificate
-per dependence record, the dataflow fixpoints, and the per-array access
-regions -- and packages the result as an :class:`AnalysisReport` with
-``to_dict`` (schema ``repro-analysis/1``) and ``render_text`` views.  Spans
-(``analysis.*``) and verdict counters flow through :mod:`repro.obs`.
+inference and a :class:`~repro.analysis.tests.DependenceEvidence`
+certificate per dependence record -- and packages the result as an
+:class:`AnalysisReport` with ``to_dict`` (schema ``repro-analysis/1``) and
+``render_text`` views.  The per-array access regions are computed on first
+read, since only LF403 (bounded domains) and the two views use them.
+Spans (``analysis.*``) and verdict counters flow through :mod:`repro.obs`.
 
 The report is also the shared backend of the LF4xx lint rules
 (:mod:`repro.analysis.rules`) and of the MLDG edge-pruning pass
@@ -16,18 +17,12 @@ record inducing it has a provably-absent certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.analysis.affine import UNKNOWN, affine_access
-from repro.analysis.dataflow import (
-    ArrayRegion,
-    Liveness,
-    ReachingDefinitions,
-    access_regions,
-    liveness,
-    reaching_definitions,
-)
+from repro.analysis.dataflow import ArrayRegion, access_regions
 from repro.analysis.domain import IterationDomain, domain_of_nest
 from repro.analysis.tests import (
     SCAN_CAP,
@@ -102,15 +97,23 @@ def classify_record(
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the analysis engine derived from one nest."""
+    """Everything the analysis engine derived from one nest.
+
+    The dataflow fixpoints (:func:`~repro.analysis.dataflow.reaching_definitions`,
+    :func:`~repro.analysis.dataflow.liveness`) are not part of the report:
+    no rule reads them.
+    """
 
     nest: LoopNest
     domain: IterationDomain
     dependences: Tuple[ClassifiedDependence, ...]
-    regions: Dict[str, ArrayRegion]
-    reaching: ReachingDefinitions
-    live: Liveness
     path: str = "<nest>"
+
+    @cached_property
+    def regions(self) -> Dict[str, ArrayRegion]:
+        """Per-array access regions, computed on first read."""
+        with obs.trace_span("analysis.dataflow"):
+            return access_regions(self.nest, self.domain)
 
     def by_verdict(self, verdict: Verdict) -> List[ClassifiedDependence]:
         return [d for d in self.dependences if d.verdict is verdict]
@@ -223,23 +226,25 @@ def analyze_nest(
             except ValueError:
                 records = []
         classified: List[ClassifiedDependence] = []
+        # A verdict depends only on the array and the two references'
+        # offsets, and a nest repeats those pairs: classify each pair once.
+        known: Dict[Tuple[Any, ...], DependenceEvidence] = {}
         with obs.trace_span("analysis.classify", records=len(records)):
             for rec in records:
-                evidence = classify_record(rec, domain, cap=cap)
+                target = rec.producer.target
+                key = (
+                    rec.array,
+                    target.array,
+                    target.offset,
+                    None if rec.ref is None else rec.ref.offset,
+                )
+                evidence = known.get(key)
+                if evidence is None:
+                    evidence = known[key] = classify_record(rec, domain, cap=cap)
                 obs.counter(f"analysis.verdict.{evidence.verdict.value}").inc()
                 classified.append(ClassifiedDependence(rec, evidence))
-        with obs.trace_span("analysis.dataflow"):
-            regions = access_regions(nest, domain)
-            reaching = reaching_definitions(nest)
-            live = liveness(nest)
         return AnalysisReport(
-            nest=nest,
-            domain=domain,
-            dependences=tuple(classified),
-            regions=regions,
-            reaching=reaching,
-            live=live,
-            path=path,
+            nest=nest, domain=domain, dependences=tuple(classified), path=path
         )
 
 

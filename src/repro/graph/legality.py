@@ -216,12 +216,13 @@ def zero_weight_cycle(
                 f"graph is not legal (negative cycle {exc.cycle}); "
                 "zero_weight_cycle is only meaningful on legal MLDGs"
             ) from exc
-    retimed = g.retimed(solution)
+    # Retiming shifts every vector of an edge by the same r(u) - r(v), which
+    # keeps their lexicographic order: the retimed delta is delta + r(u) - r(v).
     zero = IVec.zero(g.dim)
     zero_graph = nx.DiGraph()
     zero_graph.add_nodes_from(g.nodes)
-    for e in retimed.edges():
-        if e.delta == zero:
+    for e in g.edges():
+        if e.delta + solution.get(e.src, zero) - solution.get(e.dst, zero) == zero:
             zero_graph.add_edge(e.src, e.dst)
     return canonical_cycle(zero_graph, g.nodes)
 

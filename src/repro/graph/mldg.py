@@ -11,7 +11,7 @@ loops A, B, C, ... in order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
@@ -46,6 +46,9 @@ class MLDG:
         self._nodes: List[str] = []
         self._node_index: Dict[str, int] = {}
         self._edges: Dict[Tuple[str, str], frozenset] = {}
+        # the ordered edge objects, built on the first edges() call and
+        # dropped by every mutation of _edges
+        self._edge_view: Optional[Tuple[DependenceEdge, ...]] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -78,10 +81,12 @@ class MLDG:
         key = (src, dst)
         existing = self._edges.get(key, frozenset())
         self._edges[key] = existing | frozenset(vectors)
+        self._edge_view = None
 
     def remove_edge(self, src: str, dst: str) -> None:
         """Delete the edge and all its vectors; raises ``KeyError`` if absent."""
         del self._edges[(src, dst)]
+        self._edge_view = None
 
     def remove_dependence(self, src: str, dst: str, *vectors: IVec) -> None:
         """Remove individual vectors from an edge (the edge-pruning API).
@@ -106,6 +111,7 @@ class MLDG:
             self._edges[key] = remaining
         else:
             del self._edges[key]
+        self._edge_view = None
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -140,10 +146,15 @@ class MLDG:
 
     def edges(self) -> Iterator[DependenceEdge]:
         """All edges, in deterministic (program-order of endpoints) order."""
-        for (src, dst) in sorted(
-            self._edges, key=lambda k: (self._node_index[k[0]], self._node_index[k[1]])
-        ):
-            yield DependenceEdge(src, dst, self._edges[(src, dst)])
+        if self._edge_view is None:
+            index = self._node_index
+            self._edge_view = tuple(
+                DependenceEdge(src, dst, self._edges[(src, dst)])
+                for (src, dst) in sorted(
+                    self._edges, key=lambda k: (index[k[0]], index[k[1]])
+                )
+            )
+        return iter(self._edge_view)
 
     def edge(self, src: str, dst: str) -> DependenceEdge:
         return DependenceEdge(src, dst, self._edges[(src, dst)])

@@ -13,6 +13,7 @@ Expression nodes: :class:`Const`, :class:`ArrayRef`, :class:`UnaryOp`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.vectors import IVec
@@ -164,8 +165,14 @@ class Assignment:
     expr: Expr
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
-    def reads(self) -> Iterator[ArrayRef]:
-        return self.expr.array_refs()
+    def reads(self) -> Tuple[ArrayRef, ...]:
+        """The array references the expression reads, left to right."""
+        return self._reads
+
+    @cached_property
+    def _reads(self) -> Tuple[ArrayRef, ...]:
+        # walked once per node: not a field, so equality and hashing ignore it
+        return tuple(self.expr.array_refs())
 
     def shifted(self, by: IVec) -> "Assignment":
         """The statement with all references shifted (retiming application)."""

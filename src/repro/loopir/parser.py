@@ -95,28 +95,39 @@ class _Token(NamedTuple):
     kind: str  # "number" | "name" | "op" | "eof"
     text: str
     line: int
-    col: int = 1
-
-    @property
-    def end_col(self) -> int:
-        return self.col + max(len(self.text) - 1, 0)
+    col: int
+    end_col: int
+    #: For a whole ``name[idx+k][idx-k]`` reference scanned as one token:
+    #: ``(source text, (index, offset), (index, offset))``.  The token's
+    #: kind, text and position are those of the array name, so anything
+    #: but :meth:`_Parser.parse_array_ref` sees the name token it starts with.
+    ref: Optional[Tuple[str, Tuple[str, int], Tuple[str, int]]] = None
 
 
 #: The line boundaries of :meth:`str.splitlines`, so line numbers match it.
 _BREAKS = r"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
+
+def _subscript(k: int) -> str:
+    """One subscript of a well-formed reference: ``idx``, ``idx+c`` or ``idx-c``."""
+    return rf"\[(?P<idx{k}>[A-Za-z_]\w*)(?P<off{k}>[+-]\d+)?\]"
+
+
 #: One scan over the whole source.  Each match skips the whitespace inside
 #: a line, then takes one line break, one comment (to the end of its line),
-#: one token, or any other single character (an error).  Whitespace at the
-#: very end would match nothing, and trying each of its positions in turn
-#: takes time quadratic in its length, so :func:`_tokenize` scans the source
-#: with its trailing whitespace stripped.
+#: one token, or any other single character (an error).  A two-subscript
+#: array reference without whitespace is one token; any other reference is
+#: scanned token by token.  Whitespace at the very end would match nothing,
+#: and trying each of its positions in turn takes time quadratic in its
+#: length, so :func:`_tokenize` scans the source with its trailing
+#: whitespace stripped.
 _SCAN_RE = re.compile(
     rf"""
     [^\S{_BREAKS}]*
     (?:
       (?P<nl>\r\n|[{_BREAKS}])
     | (?P<comment>[!#][^{_BREAKS}]*)
+    | (?P<ref>(?P<array>[A-Za-z_]\w*){_subscript(0)}{_subscript(1)})
     | (?P<number>\d+\.\d+|\d+)
     | (?P<name>[A-Za-z_]\w*)
     | (?P<op>[+\-*/=(),:\[\]])
@@ -147,11 +158,34 @@ def _tokenize(source: str) -> Tuple[List[_Token], Dict[int, str]]:
                 lineno,
                 m.start(kind) - line_start + 1,
             )
-        else:
+        elif kind == "ref":
+            text, array, idx0, off0, idx1, off1 = m.group(
+                "ref", "array", "idx0", "off0", "idx1", "off1"
+            )
             col = m.start(kind) - line_start + 1
-            tokens.append(_Token(kind, m.group(kind), lineno, col))
-    tokens.append(_Token("eof", "", len(source.splitlines()) + 1))
+            ref = (text, (idx0, int(off0 or 0)), (idx1, int(off1 or 0)))
+            tokens.append(
+                _Token("name", array, lineno, col, col + len(text) - 1, ref)
+            )
+        else:
+            text = m.group(kind)
+            col = m.start(kind) - line_start + 1
+            tokens.append(_Token(kind, text, lineno, col, col + max(len(text) - 1, 0)))
+    tokens.append(_Token("eof", "", len(source.splitlines()) + 1, 1, 1))
     return tokens, comment_labels
+
+
+#: The tokens inside a reference token's text (which holds no whitespace).
+_PIECE_RE = re.compile(r"(?P<number>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+\[\]])")
+
+
+def _split_ref(tok: _Token) -> List[_Token]:
+    """The tokens :data:`_SCAN_RE` would give a reference token's text one by one."""
+    assert tok.ref is not None
+    return [
+        _Token(m.lastgroup, m.group(), tok.line, tok.col + m.start(), tok.col + m.end() - 1)
+        for m in _PIECE_RE.finditer(tok.ref[0])
+    ]
 
 
 class _Parser:
@@ -174,6 +208,10 @@ class _Parser:
 
     def advance(self) -> _Token:
         tok = self.cur
+        if tok.ref is not None:
+            # a reference token consumed as a plain name: its other tokens follow
+            self.tokens[self.pos : self.pos + 1] = _split_ref(tok)
+            tok = self.cur
         self.pos += 1
         return tok
 
@@ -264,6 +302,7 @@ class _Parser:
         # optional 'LABEL :' prefix
         if (
             self.cur.kind == "name"
+            and self.cur.ref is None
             and self.cur.text.lower() != "doall"
             and self.tokens[self.pos + 1].kind == "op"
             and self.tokens[self.pos + 1].text == ":"
@@ -314,6 +353,17 @@ class _Parser:
         return Assignment(target=target, expr=expr, span=self.span_from(start))
 
     def parse_array_ref(self, outer_idx: str, inner_idx: str) -> ArrayRef:
+        tok = self.cur
+        if tok.ref is not None:
+            _, (idx0, off0), (idx1, off1) = tok.ref
+            if idx0 == outer_idx and idx1 == inner_idx:
+                self.pos += 1
+                return ArrayRef(
+                    array=tok.text,
+                    offset=IVec(off0, off1),
+                    span=SourceSpan(tok.line, tok.col, tok.line, tok.end_col),
+                )
+        # token by token, which also reports a subscript on the wrong index
         name_tok = self.expect("name")
         offsets: List[int] = []
         for expected_idx in (outer_idx, inner_idx):
@@ -340,36 +390,42 @@ class _Parser:
         return 0
 
     # expression grammar: expr -> term (('+'|'-') term)*
+    # (operator tokens are never reference tokens, so skipping one is a
+    # plain step of ``pos``)
     def parse_expr(self, outer_idx: str, inner_idx: str) -> Expr:
         node = self.parse_term(outer_idx, inner_idx)
-        while self.cur.kind == "op" and self.cur.text in ("+", "-"):
-            op = self.advance().text
-            rhs = self.parse_term(outer_idx, inner_idx)
-            node = BinOp(op, node, rhs)
+        tok = self.tokens[self.pos]
+        while tok.kind == "op" and tok.text in ("+", "-"):
+            self.pos += 1
+            node = BinOp(tok.text, node, self.parse_term(outer_idx, inner_idx))
+            tok = self.tokens[self.pos]
         return node
 
     def parse_term(self, outer_idx: str, inner_idx: str) -> Expr:
         node = self.parse_factor(outer_idx, inner_idx)
-        while self.cur.kind == "op" and self.cur.text in ("*", "/"):
-            op = self.advance().text
-            rhs = self.parse_factor(outer_idx, inner_idx)
-            node = BinOp(op, node, rhs)
+        tok = self.tokens[self.pos]
+        while tok.kind == "op" and tok.text in ("*", "/"):
+            self.pos += 1
+            node = BinOp(tok.text, node, self.parse_factor(outer_idx, inner_idx))
+            tok = self.tokens[self.pos]
         return node
 
     def parse_factor(self, outer_idx: str, inner_idx: str) -> Expr:
-        if self.accept("op", "-"):
+        tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.text == "-":
+            self.pos += 1
             return UnaryOp("-", self.parse_factor(outer_idx, inner_idx))
-        if self.accept("op", "("):
+        if tok.kind == "op" and tok.text == "(":
+            self.pos += 1
             node = self.parse_expr(outer_idx, inner_idx)
             self.expect("op", ")")
             return node
-        if self.cur.kind == "number":
-            tok = self.advance()
+        if tok.kind == "number":
+            self.pos += 1
             return Const(float(tok.text))
-        if self.cur.kind == "name":
+        if tok.kind == "name":
             return self.parse_array_ref(outer_idx, inner_idx)
-        raise ParseError(f"unexpected token {self.cur.text!r}", self.cur.line)
-
+        raise ParseError(f"unexpected token {tok.text!r}", tok.line)
 
 def parse_program(source: str) -> LoopNest:
     """Parse DSL source into a :class:`~repro.loopir.ast_nodes.LoopNest`.

@@ -16,7 +16,8 @@ operators are overridden to act componentwise.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from operator import add, sub
+from typing import Iterable, Union
 
 __all__ = ["IVec"]
 
@@ -119,10 +120,15 @@ class IVec(tuple):
                 f"dimension mismatch: {len(self)}-vector vs {len(other)}-vector"
             )
 
+    # Two IVecs hold plain ints already, so their sum or difference skips
+    # the per-component check of __new__; a plain tuple still goes through it.
+
     def __add__(self, other: object) -> "IVec":  # type: ignore[override]
         if not isinstance(other, tuple):
             return NotImplemented
         self._check_dim(other)  # type: ignore[arg-type]
+        if isinstance(other, IVec):
+            return tuple.__new__(IVec, map(add, self, other))
         return IVec(a + b for a, b in zip(self, other))
 
     __radd__ = __add__
@@ -131,6 +137,8 @@ class IVec(tuple):
         if not isinstance(other, tuple):
             return NotImplemented
         self._check_dim(other)  # type: ignore[arg-type]
+        if isinstance(other, IVec):
+            return tuple.__new__(IVec, map(sub, self, other))
         return IVec(a - b for a, b in zip(self, other))
 
     def __rsub__(self, other: object) -> "IVec":
@@ -183,5 +191,3 @@ class IVec(tuple):
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self)) + ")"
 
-    def __iter__(self) -> Iterator[int]:
-        return tuple.__iter__(self)

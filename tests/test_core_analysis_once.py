@@ -4,7 +4,9 @@ A strict ``fuse_program`` used to re-run the analysis engine, the
 dependence table, MLDG extraction and the LLOFRA legality solve in several
 passes.  These tests count the calls per compile by wrapping each function
 wherever the package imported it, and pin that sharing the products left
-the pipeline's diagnostics identical to the standalone linter's.
+the pipeline's diagnostics identical to the standalone linter's.  Products
+no rule reads -- the dataflow fixpoints, and access regions on symbolic
+domains -- are not computed at all.
 """
 
 from __future__ import annotations
@@ -16,20 +18,23 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.dataflow as dataflow
 import repro.analysis.engine as analysis_engine
 import repro.depend.extract as extract
 import repro.graph.legality as legality
 from repro.core.session import Session
 from repro.gallery.common import phantom_dependence_code
-from repro.gallery.paper import figure2_code
+from repro.gallery.paper import figure2_code, figure14_mldg
+from repro.graph import MLDG
 from repro.graph.random_gen import random_legal_mldg
-from repro.lint.engine import lint_source
+from repro.lint.engine import lint_mldg, lint_source
 from repro.loopir.printer import format_program
 from repro.loopir.synthesize import program_from_mldg
 from repro.resilience import Budget
 from repro.retiming import Retiming
 
-EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.loop"))
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.loop"))
 
 #: Every MLDG extraction goes through ``mldg_from_records``; every LLOFRA
 #: solve -- the legality check, LF203's zero-weight cycle, Algorithm 2 and
@@ -39,6 +44,9 @@ COUNTED = (
     (extract, "dependence_table"),
     (extract, "mldg_from_records"),
     (legality, "_llofra_system"),
+    (dataflow, "access_regions"),
+    (dataflow, "reaching_definitions"),
+    (dataflow, "liveness"),
 )
 
 
@@ -64,6 +72,7 @@ def calls(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(mod, attr, wrapper)
     monkeypatch.setattr(Retiming, "apply", counting("apply", Retiming.apply))
+    monkeypatch.setattr(MLDG, "retimed", counting("retimed", MLDG.retimed))
     return counts
 
 
@@ -141,3 +150,36 @@ def test_pipeline_diagnostics_equal_the_linter(path):
     source = path.read_text()
     out = Session.isolated().fuse_program(source)
     assert out.diagnostics == lint_source(source, path=str(path)).diagnostics
+
+
+@pytest.mark.parametrize(
+    "source",
+    [figure2_code(), _generated_program(8, 3)],
+    ids=["fig2", "generated"],
+)
+def test_unread_dataflow_facts_are_not_computed(calls, source):
+    Session.isolated().fuse_program(source)
+    assert calls["access_regions"] == 0
+    assert calls["reaching_definitions"] == 0
+    assert calls["liveness"] == 0
+
+
+def test_regions_are_computed_once_on_a_bounded_domain(calls):
+    """LF403 is the one rule that reads the access regions, and only on a
+    domain with concrete bounds."""
+    out = Session.isolated().fuse_program((ROOT / "tests/fixtures/lint/lf403.loop").read_text())
+    assert calls["access_regions"] == 1
+    assert calls["reaching_definitions"] == calls["liveness"] == 0
+    (hit,) = [d for d in out.diagnostics if d.code == "LF403"]
+    assert hit.message == (
+        "read a[i][j-1] in loop B spans a[0, 4][-1, 3], escaping the written "
+        "hull in dim 1: boundary iterations load initial (seed) memory from the halo"
+    )
+    assert str(hit.span) == "10:15"
+
+
+def test_zero_weight_cycle_lint_does_not_retime_the_graph(calls):
+    result = lint_mldg(figure14_mldg())
+    (hit,) = result.by_code("LF203")
+    assert "B -> C -> D -> E -> B" in hit.message
+    assert calls["retimed"] == 0

@@ -1,8 +1,11 @@
 """Unit tests for legality predicates (Lemma 2.1, Theorem 3.1, Section 3.1)."""
 
+import networkx as nx
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.graph import (
+    MLDG,
     VectorClass,
     check_legal,
     classify_vector,
@@ -16,6 +19,7 @@ from repro.graph import (
     zero_weight_cycle,
 )
 from repro.gallery import figure2_mldg, figure8_mldg, figure14_mldg
+from repro.graph.analysis import canonical_cycle
 from repro.vectors import IVec
 
 
@@ -81,6 +85,61 @@ class TestDeadlockFreedom:
         g = mldg_from_table({("A", "A"): [(0, -1)]}, nodes=["A"])
         with pytest.raises(ValueError):
             zero_weight_cycle(g)
+
+
+@st.composite
+def small_mldgs(draw):
+    """Graphs of at most 6 nodes whose short vectors make zero-weight cycles common."""
+    names = [chr(ord("A") + k) for k in range(draw(st.integers(1, 6)))]
+    g = MLDG(dim=2)
+    for name in names:
+        g.add_node(name)
+    vectors = st.builds(IVec, st.integers(0, 1), st.integers(-1, 1))
+    for src, dst, vecs in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(names),
+                st.sampled_from(names),
+                st.lists(vectors, min_size=1, max_size=3),
+            ),
+            max_size=10,
+        )
+    ):
+        g.add_dependence(src, dst, *vecs)
+    return g
+
+
+def _zero_cycle_of_retimed_graph(g, solution):
+    """The zero-weight cycle read off the whole retimed graph."""
+    zero = IVec.zero(g.dim)
+    zero_graph = nx.DiGraph()
+    zero_graph.add_nodes_from(g.nodes)
+    for e in g.retimed(solution).edges():
+        if e.delta == zero:
+            zero_graph.add_edge(e.src, e.dst)
+    return canonical_cycle(zero_graph, g.nodes)
+
+
+class TestZeroWeightCycleWithoutRetiming:
+    """LF203 shifts each edge's delta instead of retiming the graph: a
+    retiming adds one vector to every vector of an edge, which keeps their
+    lexicographic order, so the zero-weight subgraph is the same."""
+
+    @given(small_mldgs())
+    @settings(deadline=None)
+    def test_same_cycle_as_the_retimed_graph(self, g):
+        report = check_legal(g)
+        assume(report.legal)
+        expected = _zero_cycle_of_retimed_graph(g, report.solution)
+        assert zero_weight_cycle(g, solution=report.solution) == expected
+        assert zero_weight_cycle(g) == expected
+
+    @given(small_mldgs(), st.data())
+    @settings(deadline=None)
+    def test_same_zero_subgraph_under_any_retiming(self, g, data):
+        shift = st.builds(IVec, st.integers(-1, 1), st.integers(-1, 1))
+        r = {n: data.draw(shift) for n in g.nodes if data.draw(st.booleans())}
+        assert zero_weight_cycle(g, solution=r) == _zero_cycle_of_retimed_graph(g, r)
 
 
 class TestSequenceExecutability:

@@ -1,8 +1,10 @@
 """Unit tests for the MLDG data structure."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import MLDG, mldg_from_table
+from repro.graph.edges import DependenceEdge
 from repro.vectors import IVec
 
 
@@ -166,3 +168,81 @@ class TestViews:
     def test_describe_mentions_hard_edge(self, simple):
         text = simple.describe()
         assert "B -> C *" in text
+
+
+def _fresh_edges(g):
+    """The edge list built from ``D(u, v)`` in program order of the endpoints."""
+    return [
+        DependenceEdge(u, v, g.D(u, v))
+        for u in g.nodes
+        for v in g.nodes
+        if g.has_edge(u, v)
+    ]
+
+
+class TestEdgeView:
+    """``edges()`` builds its ordered edge tuple once; every mutation drops it."""
+
+    def test_repeated_calls_share_the_edge_objects(self, simple):
+        first = list(simple.edges())
+        assert all(a is b for a, b in zip(first, simple.edges()))
+
+    def test_add_dependence_is_seen(self, simple):
+        list(simple.edges())
+        simple.add_dependence("A", "C", IVec(1, 0))
+        simple.add_dependence("A", "B", IVec(3, 0))
+        assert list(simple.edges()) == _fresh_edges(simple)
+        assert [e.key for e in simple.edges()] == [("A", "B"), ("A", "C"), ("B", "C")]
+        assert IVec(3, 0) in simple.edge("A", "B").vectors
+
+    def test_remove_dependence_is_seen(self, simple):
+        list(simple.edges())
+        simple.remove_dependence("B", "C", IVec(0, -2))
+        assert list(simple.edges()) == _fresh_edges(simple)
+        simple.remove_dependence("B", "C", IVec(0, 1))
+        assert [e.key for e in simple.edges()] == [("A", "B")]
+
+    def test_remove_edge_is_seen(self, simple):
+        list(simple.edges())
+        simple.remove_edge("A", "B")
+        assert [e.key for e in simple.edges()] == [("B", "C")]
+
+    def test_add_node_is_seen(self, simple):
+        list(simple.edges())
+        simple.add_node("D")
+        simple.add_dependence("D", "A", IVec(1, 0))
+        assert list(simple.edges()) == _fresh_edges(simple)
+        assert simple.nodes == ("A", "B", "C", "D")
+
+    def test_derived_graphs_build_their_own_view(self, simple):
+        list(simple.edges())
+        for derived in (
+            simple.copy(),
+            simple.retimed({"B": IVec(0, -2)}),
+            simple.restricted_to(["B", "C"]),
+        ):
+            assert list(derived.edges()) == _fresh_edges(derived)
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_view_matches_a_fresh_build_after_any_mutations(self, data):
+        names = ["A", "B", "C", "D", "E"]
+        vectors = st.builds(IVec, st.integers(-2, 2), st.integers(-2, 2))
+        g = MLDG(dim=2)
+        for _ in range(data.draw(st.integers(0, 25))):
+            op = data.draw(st.sampled_from(["add", "node", "remove", "prune"]))
+            keys = [e.key for e in _fresh_edges(g)]
+            if op == "add":
+                src, dst = data.draw(st.sampled_from(names)), data.draw(st.sampled_from(names))
+                g.add_dependence(src, dst, *data.draw(st.lists(vectors, min_size=1, max_size=3)))
+            elif op == "node":
+                g.add_node(data.draw(st.sampled_from(names)))
+            elif op == "remove" and keys:
+                g.remove_edge(*data.draw(st.sampled_from(keys)))
+            elif op == "prune" and keys:
+                src, dst = data.draw(st.sampled_from(keys))
+                vecs = sorted(g.D(src, dst))
+                g.remove_dependence(src, dst, *data.draw(st.lists(
+                    st.sampled_from(vecs), min_size=1, max_size=len(vecs), unique=True
+                )))
+            assert list(g.edges()) == _fresh_edges(g)

@@ -1,6 +1,9 @@
 """Unit tests for the IVec integer-vector type."""
 
+import operator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.vectors import IVec
 
@@ -94,6 +97,72 @@ class TestArithmetic:
 
     def test_dot(self):
         assert IVec(5, 1).dot(IVec(1, -4)) == 1
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda: IVec(1, 2) + (1.5, 0),
+            lambda: (1.5, 0) + IVec(1, 2),
+            lambda: IVec(1, 2) - (0, 1.0),
+            lambda: (1.0, 2) - IVec(1, 2),
+        ],
+        ids=["add", "radd", "sub", "rsub"],
+    )
+    def test_plain_tuple_with_a_float_is_rejected(self, compute):
+        with pytest.raises(TypeError, match="plain ints"):
+            compute()
+
+    def test_plain_tuple_with_a_bool_gives_plain_ints(self):
+        # bool + int is an int, so no bool component reaches the result
+        for v in (IVec(1, 2) + (True, 0), (True, 0) + IVec(1, 2), IVec(1, 2) - (False, True)):
+            assert all(type(c) is int for c in v)
+        assert IVec(1, 2) + (True, 0) == IVec(2, 2)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (IVec(1, 2), IVec(1, 2, 3)),
+            (IVec(1, 2, 3), IVec(1, 2)),
+            (IVec(1, 2), (1, 2, 3)),
+            ((1, 2, 3), IVec(1, 2)),
+        ],
+        ids=["ivec-short", "ivec-long", "tuple-right", "tuple-left"],
+    )
+    def test_dimension_mismatch_every_operand_kind(self, op, left, right):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(left, right)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    def test_results_are_ivecs_in_both_operand_orders(self, op):
+        for left, right in [
+            (IVec(3, -1), IVec(1, 2)),
+            (IVec(3, -1), (1, 2)),
+            ((3, -1), IVec(1, 2)),
+        ]:
+            result = op(left, right)
+            assert type(result) is IVec
+            assert result == IVec(op(left[0], right[0]), op(left[1], right[1]))
+
+    @given(
+        st.lists(st.integers(), min_size=1, max_size=4).flatmap(
+            lambda xs: st.tuples(
+                st.just(xs), st.lists(st.integers(), min_size=len(xs), max_size=len(xs))
+            )
+        ),
+        st.booleans(),
+    )
+    @settings(deadline=None)
+    def test_arithmetic_is_componentwise(self, pair, plain_right):
+        xs, ys = pair
+        left, right = IVec(xs), (tuple(ys) if plain_right else IVec(ys))
+        for op in (operator.add, operator.sub):
+            result = op(left, right)
+            assert type(result) is IVec
+            assert all(type(c) is int for c in result)
+            assert list(result) == [op(a, b) for a, b in zip(xs, ys)]
+        assert list(IVec(ys) - tuple(xs)) == [b - a for a, b in zip(xs, ys)]
+        assert list(tuple(ys) - left) == [b - a for a, b in zip(xs, ys)]
 
     def test_dot_dimension_mismatch(self):
         with pytest.raises(ValueError):
