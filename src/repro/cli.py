@@ -7,9 +7,9 @@ Main subcommands::
     repro-fuse fuse     program.loop   # retime + fuse + emit code
     repro-fuse run      program.loop   # hardened pipeline (budgets, --resilient,
                                        # --backend interp|compiled|numpy|auto)
-    repro-fuse batch    a.loop b.loop  # compile many programs concurrently
-                                       # (one Session, --jobs workers,
-                                       # --timeout-ms, --batch-pool process)
+    repro-fuse batch    a.loop b.loop  # compile many programs, one per
+                                       # worker process (--jobs; 1 = in
+                                       # process), --timeout-ms
     repro-fuse serve                   # fault-tolerant compilation daemon
                                        # (repro-serve/1; docs/SERVING.md)
     repro-fuse loadgen                 # drive the daemon under load/chaos
@@ -276,7 +276,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_ba = sub.add_parser(
         "batch",
-        help="compile many programs concurrently under one session",
+        help="compile many programs under one session, one per worker "
+        "process",
     )
     p_ba.add_argument(
         "files", nargs="+", help="loop DSL source files (one program each)"
@@ -286,8 +287,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="worker-thread count (default: the execution planner's batch "
-        "default, 4; 1 = serial)",
+        help="worker processes (default: the CPUs this process may run on, "
+        "at most one per file; 1 = compile in this process)",
     )
     p_ba.add_argument(
         "--strategy",
@@ -319,16 +320,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="N",
-        help="per-program deadline override: each program gets its own "
-        "armed Budget via budget_scope (wins over --deadline-ms)",
-    )
-    p_ba.add_argument(
-        "--batch-pool",
-        choices=["thread", "process"],
-        default="thread",
-        dest="batch_pool",
-        help="worker flavor: thread (shared caches) or process "
-        "(crash isolation over repro-serve/1 envelopes)",
+        help="each program's own deadline in milliseconds; next to "
+        "--deadline-ms, --jobs 1 uses this one and worker processes the "
+        "smaller of the two",
     )
     add_format_argument(p_ba, [TEXT, JSON])
     _add_store_argument(p_ba)
@@ -841,7 +835,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         resilient=args.resilient,
         timeout_ms=args.timeout_ms,
-        pool=args.batch_pool,
     )
     if args.format == "json":
         print(_json.dumps(report.to_dict(), indent=2))

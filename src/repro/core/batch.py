@@ -1,37 +1,39 @@
-"""Batch compilation: a thread pool over independent programs.
+"""Batch compilation: independent programs, in process or one per worker.
 
 :func:`run_batch` (the engine behind :meth:`Session.fuse_many` and
-``repro-fuse batch``) compiles each program through the session's
-pipeline on a worker pool.  Worker threads start with a clean context and
-explicitly enter the session's scope, so concurrent sessions never leak
-caches, budgets, tracers or registries into each other -- the isolation
-tests in ``tests/test_core_batch.py`` hammer exactly that.
+``repro-fuse batch``) has two paths, chosen by ``jobs`` alone:
 
-Per program the report records status, strategy/parallelism (or the rung
-the ladder came to rest on), the structured diagnostics, notes and -- when
-the session traces -- a per-program trace id joining the entry to its own
-:class:`~repro.obs.Tracer`.  The trace id is assigned *before* the
-compile and the tracer attached in a ``finally``, so a program whose
-compile (or whose exception's own ``__str__``) misbehaves still keeps its
-id -- :func:`run_batch` asserts exactly that.  One failed program never
-aborts the batch; its typed error is recorded and the batch continues.
+* ``jobs == 1`` compiles the programs one after the other in this
+  process, under the session: its caches, registry, budget and fault
+  injector apply, and :class:`LoopNest` inputs are used as they are.
+  When the session traces, each program gets its own
+  :class:`~repro.obs.Tracer`, whose id is assigned *before* the compile,
+  so a program whose compile (or whose exception's own ``__str__``)
+  misbehaves still keeps it -- :func:`run_batch` asserts exactly that.
+* ``jobs > 1`` forks ``min(jobs, len(programs))`` workers of the serve
+  :class:`~repro.serve.supervisor.Supervisor` and sends each program to
+  one as a ``repro-serve/1`` request with ``emit`` off, carrying the
+  session's options and store path.  Its deadline is the smaller of
+  ``timeout_ms`` and what remains of the session budget's deadline.
+  Node, edge and relaxation caps and a fault injector cannot cross the
+  wire, so a session that has them raises :class:`ValueError`.  A worker
+  that dies (``SV001``) or does not answer in time (``SV002``) is
+  replaced and costs only its own entry.  Pass counters, diagnostics and
+  spans stay in the workers; an entry's trace id is its worker's.
 
-``timeout_ms`` arms a per-program deadline
-:class:`~repro.resilience.budget.Budget` through
-:func:`repro.core.context.budget_scope`, so concurrent workers can run
-under different deadlines against one shared session.  ``pool="process"``
-compiles each program in a worker *process* over the ``repro-serve/1``
-envelopes (crash isolation for untrusted inputs; the supervised,
-retrying variant of this mode is :mod:`repro.serve`).
-
-The aggregate is a :class:`BatchReport` (JSON schema ``repro-batch/1``)
-with text and JSON renderings.
+One failed program never aborts the batch: its typed error is recorded
+and the batch continues.  The aggregate is a :class:`BatchReport` (JSON
+schema ``repro-batch/1``) with text and JSON renderings.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -40,24 +42,25 @@ from repro.core import context as _context
 from repro.fusion.driver import Strategy
 from repro.lint.diagnostics import Diagnostic
 from repro.loopir import LoopNest
+from repro.loopir.printer import format_program
+from repro.serve.supervisor import Supervisor
+from repro.serve.wire import SV001, SV002, CompileRequest, error_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.session import Session
 
 __all__ = [
-    "BATCH_POOLS",
     "BATCH_SCHEMA",
-    "DEFAULT_BATCH_JOBS",
     "BatchEntry",
     "BatchReport",
     "run_batch",
 ]
 
-BATCH_POOLS = ("thread", "process")
-#: Worker count when neither the call nor the session picked one.
-DEFAULT_BATCH_JOBS = 4
-
 BATCH_SCHEMA = "repro-batch/1"
+
+#: How long past its deadline a worker may take to report the typed
+#: ``BudgetExceededError`` it raises itself before it counts as hung.
+_REPLY_GRACE_S = 1.0
 
 
 @dataclass
@@ -164,46 +167,22 @@ class BatchReport:
         return "\n".join(lines)
 
 
-def _normalize(
+def _work(
     programs: Sequence[Any], names: Optional[Sequence[str]]
-) -> List[Tuple[str, Union[str, LoopNest]]]:
+) -> List[Tuple[BatchEntry, Union[str, LoopNest]]]:
+    """One fresh entry per program, paired with its source."""
     if names is not None and len(names) != len(programs):
         raise ValueError(
             f"{len(names)} names for {len(programs)} programs"
         )
-    out: List[Tuple[str, Union[str, LoopNest]]] = []
+    out: List[Tuple[BatchEntry, Union[str, LoopNest]]] = []
     for k, item in enumerate(programs):
         if isinstance(item, tuple) and len(item) == 2:
-            name, src = item
-            out.append((str(name), src))
+            name, item = str(item[0]), item[1]
         else:
             name = names[k] if names is not None else f"program[{k}]"
-            out.append((name, item))
+        out.append((BatchEntry(index=k, name=name), item))
     return out
-
-
-def _error_dict(exc: BaseException) -> Dict[str, Any]:
-    """A JSON-safe error record that survives hostile exceptions.
-
-    ``str(exc)`` and ``exc.diagnostics`` run arbitrary user-adjacent code;
-    if either raises, the record still comes back (and the batch worker's
-    own error handler -- which calls this -- cannot blow up and strand the
-    entry without its trace id)."""
-    try:
-        message = str(exc)
-    except Exception:
-        message = f"<unprintable {type(exc).__name__}>"
-    try:
-        diagnostics = [
-            d.to_dict() for d in getattr(exc, "diagnostics", None) or []
-        ]
-    except Exception:
-        diagnostics = []
-    return {
-        "type": type(exc).__name__,
-        "message": message,
-        "diagnostics": diagnostics,
-    }
 
 
 def _compile_one(
@@ -227,7 +206,7 @@ def _compile_one(
             from repro.resilience.budget import Budget
 
             budget = Budget(deadline_ms=timeout_ms).start()
-        with _context.budget_scope(budget) if budget is not None else _noop_ctx():
+        with _context.budget_scope(budget) if budget is not None else nullcontext():
             with session._program_scope(tracer):
                 with obs.trace_span("batch.program", program=entry.name):
                     if resilient:
@@ -242,7 +221,7 @@ def _compile_one(
                     entry.diagnostics = list(out.diagnostics)
     except Exception as exc:  # one bad program never sinks the batch
         entry.status = "error"
-        entry.error = _error_dict(exc)
+        entry.error = error_payload(exc)
         try:
             entry.diagnostics = list(getattr(exc, "diagnostics", None) or [])
         except Exception:
@@ -254,68 +233,100 @@ def _compile_one(
     return entry
 
 
-def _noop_ctx():
-    from contextlib import nullcontext
-
-    return nullcontext()
-
-
-def _compile_one_process(
-    session: "Session",
+def _compile_in_worker(
+    supervisor: Supervisor,
     entry: BatchEntry,
     source: Union[str, LoopNest],
-    executor: ProcessPoolExecutor,
+    wire: Dict[str, Any],
+    budget: Any,
+    timeout_ms: Optional[float],
+) -> None:
+    """Compile one program on one worker: one ``Worker.call``, no retry."""
+    t0 = time.perf_counter()
+    try:
+        remaining = budget.remaining_ms() if budget is not None else None
+        deadlines = [d for d in (timeout_ms, remaining) if d is not None]
+        deadline = max(0.0, min(deadlines)) if deadlines else None
+        text = source if isinstance(source, str) else format_program(source)
+        req = CompileRequest(
+            source=text, name=entry.name, deadline_ms=deadline, emit=False, **wire
+        )
+        worker = supervisor.acquire(None)
+        try:
+            resp = worker.call(
+                req.to_dict(),
+                None if deadline is None else deadline / 1000.0 + _REPLY_GRACE_S,
+            )
+        except (EOFError, TimeoutError) as exc:
+            died = isinstance(exc, EOFError)
+            supervisor.restart(worker, "crash" if died else "hang")
+            entry.status = "error"
+            entry.error = {**error_payload(exc), "code": SV001 if died else SV002}
+            return
+        supervisor.release(worker)
+        entry.trace_id = resp.get("traceId")
+        entry.strategy = resp.get("strategy")
+        entry.rung = resp.get("rung")
+        entry.parallelism = resp.get("parallelism")
+        entry.notes = list(resp.get("notes") or [])
+        entry.diagnostics = [
+            Diagnostic.from_dict(d) for d in resp.get("diagnostics") or []
+        ]
+        if resp.get("status") != "ok":
+            entry.status = "error"
+            entry.error = resp.get("error")
+    except Exception as exc:  # a request the wire refuses, and the like
+        entry.status = "error"
+        entry.error = error_payload(exc)
+    finally:
+        entry.wall_ms = (time.perf_counter() - t0) * 1000.0
+
+
+def _run_on_workers(
+    session: "Session",
+    work: List[Tuple[BatchEntry, Union[str, LoopNest]]],
+    jobs: int,
+    budget: Any,
     *,
     strategy: Optional[Union[Strategy, str]],
     resilient: bool,
     timeout_ms: Optional[float],
-) -> BatchEntry:
-    """Compile one program in a worker *process* over repro-serve/1."""
-    from repro.loopir.printer import format_program
-    from repro.serve import worker as serve_worker
-    from repro.serve.wire import request_from_program
+) -> None:
+    """Drain ``work`` on ``jobs`` worker processes, one thread per worker."""
+    opts = session.options
+    chosen = strategy if strategy is not None else opts.strategy
+    store = session.caches.store
+    wire = dict(
+        strategy=chosen.value if isinstance(chosen, Strategy) else str(chosen),
+        resilient=resilient,
+        min_rung=opts.min_rung,
+        ladder=opts.ladder_labels(),
+        prune_edges=opts.prune_edges,
+        verify_execution=opts.verify_execution,
+        # each worker opens its own handle on the same file
+        store_path=store.path if store is not None else None,
+    )
+    queue = deque(work)
 
-    t0 = time.perf_counter()
-    try:
-        text = source if isinstance(source, str) else format_program(source)
-        chosen = strategy if strategy is not None else session.options.strategy
-        store = session.caches.store
-        req = request_from_program(
-            entry.name,
-            text,
-            strategy=chosen.value if isinstance(chosen, Strategy) else str(chosen),
-            resilient=resilient,
-            min_rung=session.options.min_rung,
-            deadline_ms=timeout_ms,
-            ladder=session.options.ladder_labels(),
-            prune_edges=session.options.prune_edges,
-            verify_execution=session.options.verify_execution,
-            # worker processes open their own handle on the same file
-            store_path=store.path if store is not None else None,
-        )
-        resp = executor.submit(serve_worker.compile_request, req.to_dict()).result()
-        entry.trace_id = resp.get("traceId")
-        if resp.get("status") == "ok":
-            entry.strategy = resp.get("strategy")
-            entry.rung = resp.get("rung")
-            entry.parallelism = resp.get("parallelism")
-            entry.notes = list(resp.get("notes") or [])
-        else:
-            entry.status = "error"
-            entry.error = resp.get("error") or {
-                "type": "WorkerError",
-                "message": "worker returned a malformed response",
-                "diagnostics": [],
-            }
-        entry.diagnostics = [
-            Diagnostic.from_dict(d) for d in resp.get("diagnostics") or []
+    def drain(supervisor: Supervisor) -> None:
+        while True:
+            try:
+                entry, source = queue.popleft()
+            except IndexError:
+                return
+            _compile_in_worker(supervisor, entry, source, wire, budget, timeout_ms)
+
+    # forked before any pipeline code of this call runs, and in an empty
+    # context, so no scope of the caller leaks into the workers
+    with contextvars.Context().run(Supervisor, jobs) as supervisor:
+        threads = [
+            threading.Thread(target=drain, args=(supervisor,), name="repro-batch")
+            for _ in range(jobs)
         ]
-    except Exception as exc:  # pool broke / pickling / crash: record, go on
-        entry.status = "error"
-        entry.error = _error_dict(exc)
-    finally:
-        entry.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return entry
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
 
 
 def run_batch(
@@ -327,94 +338,66 @@ def run_batch(
     resilient: bool = False,
     names: Optional[Sequence[str]] = None,
     timeout_ms: Optional[float] = None,
-    pool: str = "thread",
 ) -> BatchReport:
-    """Compile ``programs`` concurrently under ``session``.
+    """Compile ``programs`` under ``session``; see the module docstring.
 
     ``programs`` items are DSL text, :class:`LoopNest` objects, or
     ``(name, source)`` pairs; ``names`` labels positional items.  Entries
     come back in input order regardless of completion order.
 
-    ``timeout_ms`` puts each program under its own deadline
-    :class:`~repro.resilience.budget.Budget` (via
-    :func:`repro.core.context.budget_scope`, so the shared session object
-    is never mutated).  ``pool`` selects the worker flavor: ``"thread"``
-    (default; shared caches, cheapest) or ``"process"`` (crash isolation;
-    each program travels as a ``repro-serve/1`` envelope through
-    :func:`repro.serve.worker.compile_request`).  The supervised,
-    retrying, admission-controlled variant of process mode is the
-    :mod:`repro.serve` daemon.
+    ``jobs`` defaults to the number of CPUs this process may run on,
+    capped at the number of programs.  ``timeout_ms`` gives each program
+    its own deadline (in process through
+    :func:`repro.core.context.budget_scope`, so the shared session is
+    never mutated).
     """
-    if pool not in BATCH_POOLS:
-        raise ValueError(f"unknown pool {pool!r}; expected one of {BATCH_POOLS}")
-    items = _normalize(programs, names)
+    work = _work(programs, names)
     if jobs is None:
-        jobs = DEFAULT_BATCH_JOBS
+        jobs = min(len(os.sched_getaffinity(0)), len(work))
     jobs = max(1, int(jobs))
-    reg_scope = (
+    budget = session.effective_budget
+    if jobs > 1 and (
+        (budget is not None and budget.is_work_limiting)
+        or session.options.injector is not None
+    ):
+        raise ValueError(
+            "a session budget with node, edge or relaxation caps, or a "
+            "fault injector, cannot reach worker processes; compile with "
+            "jobs=1"
+        )
+    entries = [entry for entry, _ in work]
+    t0 = time.perf_counter()
+    with (
         obs.overriding_registry(session.registry)
         if session.registry is not None
-        else None
-    )
-    t0 = time.perf_counter()
-    entries = [BatchEntry(index=k, name=name) for k, (name, _) in enumerate(items)]
-    try:
-        if reg_scope is not None:
-            reg_scope.__enter__()
+        else nullcontext()
+    ):
         obs.default_registry().counter("core.batch.runs").inc()
-        if pool == "process":
-            with ProcessPoolExecutor(max_workers=jobs) as executor:
-                with ThreadPoolExecutor(
-                    max_workers=jobs, thread_name_prefix="repro-batch"
-                ) as waiters:
-                    futures = [
-                        waiters.submit(
-                            _compile_one_process,
-                            session,
-                            entry,
-                            src,
-                            executor,
-                            strategy=strategy,
-                            resilient=resilient,
-                            timeout_ms=timeout_ms,
-                        )
-                        for entry, (_, src) in zip(entries, items)
-                    ]
-                    for f in futures:
-                        f.result()
-        elif jobs == 1:
-            for entry, (_, src) in zip(entries, items):
+        if jobs == 1:
+            for entry, source in work:
                 _compile_one(
                     session,
                     entry,
-                    src,
+                    source,
                     strategy=strategy,
                     resilient=resilient,
                     timeout_ms=timeout_ms,
                 )
-        else:
-            with ThreadPoolExecutor(
-                max_workers=jobs, thread_name_prefix="repro-batch"
-            ) as workers:
-                futures = [
-                    workers.submit(
-                        _compile_one,
-                        session,
-                        entry,
-                        src,
-                        strategy=strategy,
-                        resilient=resilient,
-                        timeout_ms=timeout_ms,
-                    )
-                    for entry, (_, src) in zip(entries, items)
-                ]
-                for f in futures:
-                    f.result()
-        if session.tracer is not None and pool == "thread":
-            # the satellite contract: trace ids survive *any* outcome,
-            # including exceptions whose own __str__ raises
-            missing = [e.name for e in entries if e.trace_id is None]
-            assert not missing, f"batch entries lost their trace ids: {missing}"
+            if session.tracer is not None:
+                # trace ids survive *any* outcome, including exceptions
+                # whose own __str__ raises
+                missing = [e.name for e in entries if e.trace_id is None]
+                assert not missing, f"batch entries lost their trace ids: {missing}"
+        elif work:
+            _run_on_workers(
+                session,
+                work,
+                min(jobs, len(work)),
+                budget,
+                strategy=strategy,
+                resilient=resilient,
+                timeout_ms=timeout_ms,
+            )
         report = BatchReport(
             jobs=jobs,
             resilient=resilient,
@@ -425,6 +408,3 @@ def run_batch(
         reg.counter("core.batch.programs").inc(len(entries))
         reg.counter("core.batch.errors").inc(report.error_count)
         return report
-    finally:
-        if reg_scope is not None:
-            reg_scope.__exit__(None, None, None)

@@ -10,13 +10,13 @@ this module, which depends on nothing else in :mod:`repro`, so there are no
 import cycles.
 
 The scope is a :class:`contextvars.ContextVar`: nested activations restore
-correctly and worker threads start *clean* (a fresh thread sees no active
-session until it activates one), which is exactly the isolation
-``Session.fuse_many`` workers need.
+correctly and threads start *clean* (a fresh thread sees no active session
+until it activates one), so sessions used from different threads never see
+each other.
 
 :func:`budget_scope` is the same mechanism for deadlines: one shared
-session can compile many programs concurrently, each under its *own*
-:class:`~repro.resilience.budget.Budget` (``repro-fuse batch
+session can compile many programs, each under its *own*
+:class:`~repro.resilience.budget.Budget` (``repro-fuse batch --jobs 1
 --timeout-ms``), without mutating the session.  Consumers read
 :attr:`Session.effective_budget`, which prefers the context override.
 """
@@ -73,8 +73,8 @@ def budget_scope(budget: Optional["Budget"]) -> Iterator[Optional["Budget"]]:
 
     The override wins over the session's own budget wherever
     :attr:`Session.effective_budget` is consulted, and is context-local:
-    concurrent batch workers can each run their program under a different
-    deadline against one shared session.
+    threads can each run a program under a different deadline against one
+    shared session.
     """
     token = _BUDGET.set(budget)
     try:

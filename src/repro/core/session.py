@@ -21,10 +21,10 @@ threading a parameter through every signature.  The legacy entry points
 (``repro.pipeline.fuse_program`` etc.) are thin wrappers over an
 ephemeral default session and remain bit-identical.
 
-:meth:`Session.fuse_many` is batch compilation: a thread pool over
-independent programs with per-program diagnostics and trace ids and one
-aggregated :class:`~repro.core.batch.BatchReport` -- the first step
-toward a serving layer (exposed as ``repro-fuse batch``).
+:meth:`Session.fuse_many` is batch compilation: independent programs
+in this process (``jobs=1``) or on forked serve workers, with
+per-program diagnostics and one aggregated
+:class:`~repro.core.batch.BatchReport` (exposed as ``repro-fuse batch``).
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class SessionOptions:
     #: Degradation-ladder variant: a :data:`LADDER_VARIANTS` name, an
     #: explicit tuple of rung labels, or ``None`` for the built-in descent.
     ladder: Optional[Union[str, Sequence[str]]] = None
-    #: Default worker count for :meth:`Session.fuse_many` (``None``:
-    #: :data:`repro.core.batch.DEFAULT_BATCH_JOBS`).
+    #: Default worker count for :meth:`Session.fuse_many` (``None``: the
+    #: CPUs this process may run on, capped at the number of programs).
     jobs: Optional[int] = None
     #: Execution backend for :meth:`Session.execute_fused`
     #: (:mod:`repro.core.backends`: interp / compiled / numpy, or
@@ -102,8 +102,9 @@ class SessionOptions:
     #: and unpruned output.
     prune_edges: bool = True
     #: Seeded fault injector active while the session is (chaos testing;
-    #: ``repro.resilience.faults``).  Injection is thread-local, so batch
-    #: worker threads re-enter it per program.
+    #: ``repro.resilience.faults``).  Injection is thread-local, so the
+    #: in-process batch re-enters it per program; it cannot reach worker
+    #: processes, so ``fuse_many`` with ``jobs > 1`` refuses it.
     injector: Optional[Any] = None
     #: Seed for :attr:`injector`.
     fault_seed: int = 0
@@ -281,7 +282,7 @@ class Session:
 
     @contextmanager
     def _program_scope(self, tracer: Optional[obs.Tracer]) -> Iterator[None]:
-        """Worker-thread scope for one batch program: the session plus an
+        """Scope for one in-process batch program: the session plus an
         optional per-program tracer that wins over the session tracer."""
         with ExitStack() as stack:
             stack.enter_context(_context.session_scope(self))
@@ -392,15 +393,13 @@ class Session:
         resilient: bool = False,
         names: Optional[Sequence[str]] = None,
         timeout_ms: Optional[float] = None,
-        pool: str = "thread",
     ) -> "BatchReport":
-        """Compile independent programs concurrently; see :mod:`repro.core.batch`.
+        """Compile independent programs; see :mod:`repro.core.batch`.
 
-        ``timeout_ms`` arms a per-program deadline
-        :class:`~repro.resilience.budget.Budget` around each compile.
-        ``pool="process"`` executes programs in worker *processes* via the
-        ``repro-serve/1`` envelopes (crash isolation; requires DSL-text
-        sources).
+        ``jobs=1`` compiles in this process under the session; more jobs
+        compile each program on a forked worker process over the
+        ``repro-serve/1`` envelopes.  ``timeout_ms`` gives each program
+        its own deadline.
         """
         from repro.core.batch import run_batch
 
@@ -412,7 +411,6 @@ class Session:
             resilient=resilient,
             names=names,
             timeout_ms=timeout_ms,
-            pool=pool,
         )
 
     def execute_fused(

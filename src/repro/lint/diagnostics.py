@@ -76,7 +76,7 @@ class Diagnostic:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (process-pool / wire round-trips)."""
+        """Inverse of :meth:`to_dict` (``repro-serve/1`` wire round-trips)."""
         span = None
         if "line" in d:
             span = SourceSpan(

@@ -384,10 +384,20 @@ class _Parser:
                 tok.line,
             )
         if self.accept("op", "+"):
-            return int(self.expect("number").text)
+            return self.parse_offset()
         if self.accept("op", "-"):
-            return -int(self.expect("number").text)
+            return -self.parse_offset()
         return 0
+
+    def parse_offset(self) -> int:
+        tok = self.expect("number")
+        if "." in tok.text:
+            raise ParseError(
+                f"subscript offset must be an integer, found {tok.text!r}",
+                tok.line,
+                tok.col,
+            )
+        return int(tok.text)
 
     # expression grammar: expr -> term (('+'|'-') term)*
     # (operator tokens are never reference tokens, so skipping one is a

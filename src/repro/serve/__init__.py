@@ -2,8 +2,9 @@
 
 The paper's polynomial-time guarantee makes per-request compile cost
 bounded and predictable, which is what makes a *service* with enforceable
-deadlines feasible.  This package is the cross-process robustness layer on
-top of :mod:`repro.core`'s batch compilation (docs/SERVING.md):
+deadlines feasible.  This package is the cross-process robustness layer
+(docs/SERVING.md); :mod:`repro.core.batch` runs its batches of more than
+one job on the same :class:`Supervisor`:
 
 * **wire** -- the ``repro-serve/1`` JSON request/response envelopes
   (picklable, so the same shapes ride the worker pipes and HTTP).

@@ -14,7 +14,8 @@ the same slot.  The other workers never notice.
 
 Workers use the ``fork`` start method: a fork is tens of milliseconds
 where a spawned interpreter re-imports the package for hundreds, and the
-initial workers are forked before the daemon starts any threads.  A
+initial workers are forked before the daemon (or a batch of
+:mod:`repro.core.batch`) starts any threads of its own.  A
 replacement is forked while other threads run, and a fork copies every
 lock as it stands: a lock another thread holds (a module import in
 progress, a memo cache, a store handle) stays locked forever in the

@@ -4,7 +4,8 @@ One request/response envelope pair shared by every transport: the worker
 pipes (:mod:`repro.serve.worker` receives the request *dict* and returns
 the response *dict* -- both are plain picklable primitives), the HTTP
 daemon (:mod:`repro.serve.daemon` serializes the same dicts as JSON) and
-:meth:`repro.core.Session.fuse_many`'s process-pool mode.
+:meth:`repro.core.Session.fuse_many` at ``jobs > 1``, which sends each
+program to a worker with ``emit`` off.
 
 A malformed request never raises past :meth:`CompileRequest.from_dict`:
 it raises :class:`WireError` carrying the ``SV006`` diagnostic code, which
@@ -402,7 +403,7 @@ def request_from_program(
     fault: Optional[Dict[str, Any]] = None,
     store_path: Optional[str] = None,
 ) -> CompileRequest:
-    """Convenience constructor used by batch/loadgen call sites."""
+    """Convenience constructor used by loadgen and test call sites."""
     return CompileRequest(
         source=source,
         name=name,

@@ -40,6 +40,7 @@ an L2 hit is additionally flagged in the response ``notes``.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from contextlib import ExitStack
@@ -58,6 +59,9 @@ def serve(conn: Any, allow_faults: bool = False) -> None:
     request cannot SIGKILL workers.
     """
     _STATE["allow_faults"] = bool(allow_faults)
+    # what the fork inherited is never collected here: the collector then
+    # neither walks it per request nor copies its pages by writing to them
+    gc.freeze()
     while True:
         try:
             req_dict = conn.recv()

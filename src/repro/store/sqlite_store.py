@@ -1,7 +1,8 @@
 """The L2 disk tier: a sqlite-backed, process-safe compilation cache.
 
 One :class:`CompileStore` is one sqlite file in WAL mode.  Many processes
-(serve workers, ``fuse_many`` children, successive CLI runs) open the same
+(serve workers, the workers of ``fuse_many`` at ``jobs > 1``,
+successive CLI runs) open the same
 path independently and share rows; sqlite's own locking serialises writers
 and WAL keeps readers unblocked.  The design constraints, in order:
 

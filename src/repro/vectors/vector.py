@@ -121,15 +121,16 @@ class IVec(tuple):
             )
 
     # Two IVecs hold plain ints already, so their sum or difference skips
-    # the per-component check of __new__; a plain tuple still goes through it.
+    # the per-component check of __new__; a plain-tuple operand goes through
+    # it before the arithmetic, where a bool would already be an int.
 
     def __add__(self, other: object) -> "IVec":  # type: ignore[override]
         if not isinstance(other, tuple):
             return NotImplemented
         self._check_dim(other)  # type: ignore[arg-type]
-        if isinstance(other, IVec):
-            return tuple.__new__(IVec, map(add, self, other))
-        return IVec(a + b for a, b in zip(self, other))
+        if not isinstance(other, IVec):
+            other = IVec(other)
+        return tuple.__new__(IVec, map(add, self, other))
 
     __radd__ = __add__
 
@@ -137,15 +138,15 @@ class IVec(tuple):
         if not isinstance(other, tuple):
             return NotImplemented
         self._check_dim(other)  # type: ignore[arg-type]
-        if isinstance(other, IVec):
-            return tuple.__new__(IVec, map(sub, self, other))
-        return IVec(a - b for a, b in zip(self, other))
+        if not isinstance(other, IVec):
+            other = IVec(other)
+        return tuple.__new__(IVec, map(sub, self, other))
 
     def __rsub__(self, other: object) -> "IVec":
         if not isinstance(other, tuple):
             return NotImplemented
         self._check_dim(other)  # type: ignore[arg-type]
-        return IVec(b - a for a, b in zip(self, other))
+        return tuple.__new__(IVec, map(sub, IVec(other), self))
 
     def __neg__(self) -> "IVec":
         return IVec(-a for a in self)

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stdout
 
 import pytest
 
 from repro import obs
-from repro.core.batch import BATCH_SCHEMA, DEFAULT_BATCH_JOBS
+from repro.core.batch import BATCH_SCHEMA
 from repro.core.session import Session, SessionCaches, SessionOptions
 from repro.gallery.common import iir2d_code
 from repro.gallery.paper import figure2_code
@@ -64,8 +66,12 @@ def test_serial_and_parallel_batches_are_equivalent():
 
 
 def test_batch_default_preserved():
-    # the old SessionOptions.jobs = 4 literal
-    assert DEFAULT_BATCH_JOBS == 4
+    # the CPUs this process may run on, capped at the number of programs
+    cpus = len(os.sched_getaffinity(0))
+    assert Session().fuse_many(_gallery()).jobs == min(cpus, 3)
+    assert Session().fuse_many(_gallery()[:1]).jobs == 1
+    # the session's own default wins over the CPU count
+    assert Session(options=SessionOptions(jobs=1)).fuse_many(_gallery()).jobs == 1
 
 
 def test_fuse_many_resilient():
@@ -102,7 +108,7 @@ def test_batch_report_schema_and_renderings():
 
 def test_per_program_trace_ids_when_session_traces():
     session = Session(tracer=obs.Tracer())
-    report = session.fuse_many(_gallery(), jobs=4)
+    report = session.fuse_many(_gallery(), jobs=1)
     ids = [e.trace_id for e in report.entries]
     assert all(ids) and len(set(ids)) == len(ids)
     for e in report.entries:
@@ -113,6 +119,12 @@ def test_per_program_trace_ids_when_session_traces():
     # without a session tracer, no per-program tracers are minted
     plain = Session().fuse_many(_gallery()[:1])
     assert plain.entries[0].trace_id is None
+    # on worker processes each entry carries the id its worker minted;
+    # the spans stay in the worker
+    remote = session.fuse_many(_gallery(), jobs=2)
+    ids = [e.trace_id for e in remote.entries]
+    assert all(ids) and len(set(ids)) == len(ids)
+    assert all(e.tracer is None for e in remote.entries)
 
 
 def test_names_parameter_labels_positional_programs():
@@ -154,7 +166,7 @@ def test_concurrent_sessions_keep_private_registries_and_diagnostics():
 
     def run(session, source):
         barrier.wait(timeout=30)
-        return session.fuse_many([("p", source)] * 4, jobs=4)
+        return session.fuse_many([("p", source)] * 4, jobs=1)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         ra = pool.submit(run, a, figure2_code())
@@ -173,24 +185,52 @@ def test_concurrent_sessions_keep_private_registries_and_diagnostics():
 def test_concurrent_sessions_keep_private_caches():
     a = Session(caches=SessionCaches.private())
     b = Session(caches=SessionCaches.private())
-    a.fuse_many([("p", figure2_code())] * 3, jobs=3)
-    b.fuse_many([("p", figure2_code())] * 3, jobs=3)
+    a.fuse_many([("p", figure2_code())] * 3, jobs=1)
+    b.fuse_many([("p", figure2_code())] * 3, jobs=1)
     assert a.caches.fusion is not None and b.caches.fusion is not None
     assert a.caches.fusion.cache_info().currsize >= 1
     assert b.caches.fusion.cache_info().currsize >= 1
     assert a.caches.fusion is not b.caches.fusion
 
 
-def test_session_budget_applies_to_every_batch_program():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_session_budget_applies_to_every_batch_program(jobs):
     from repro.resilience.budget import Budget
 
     session = Session(budget=Budget(max_nodes=1))
-    report = session.fuse_many(_gallery(), jobs=4)
+    if jobs > 1:
+        # node caps cannot ride the wire: refused, never silently dropped
+        with pytest.raises(ValueError, match="jobs=1"):
+            session.fuse_many(_gallery(), jobs=jobs)
+        chaos = Session(options=SessionOptions(injector=object()))
+        with pytest.raises(ValueError, match="jobs=1"):
+            chaos.fuse_many(_gallery(), jobs=jobs)
+        return
+    report = session.fuse_many(_gallery(), jobs=jobs)
     assert report.error_count == 3
     assert all(
         e.error is not None and e.error["type"] == "BudgetExceededError"
         for e in report.entries
     )
+
+
+def test_session_deadline_reaches_worker_processes():
+    from repro.perf.memo import clear_all_caches
+    from repro.resilience.budget import Budget
+
+    assert Session(budget=Budget(deadline_ms=60_000.0)).fuse_many(
+        _gallery(), jobs=2
+    ).ok
+    # cold caches: a deadline-only budget may be met from a warm cache
+    clear_all_caches()
+    # the smaller of the session deadline and timeout_ms applies
+    for budget, timeout_ms in ((0.000001, 60_000.0), (60_000.0, 0.000001)):
+        session = Session(budget=Budget(deadline_ms=budget))
+        report = session.fuse_many(_gallery(), jobs=2, timeout_ms=timeout_ms)
+        assert report.error_count == 3
+        assert all(
+            e.error["type"] == "BudgetExceededError" for e in report.entries
+        )
 
 
 def test_trace_ids_survive_worker_exceptions():
@@ -213,7 +253,7 @@ def test_trace_ids_survive_worker_exceptions():
     original = session.fuse_program
     session.fuse_program = explode
     try:
-        report = session.fuse_many(_gallery(), jobs=3)
+        report = session.fuse_many(_gallery(), jobs=1)
     finally:
         session.fuse_program = original
 
@@ -260,12 +300,11 @@ def test_budget_scope_override_wins_over_session_budget():
     assert session.effective_budget is session.budget
 
 
-def test_process_pool_matches_thread_pool_results():
-    session = Session()
-    threaded = session.fuse_many(_gallery(), jobs=2)
-    processed = session.fuse_many(_gallery(), jobs=2, pool="process")
-    assert processed.ok_count == threaded.ok_count == 3
-    for t, p in zip(threaded.entries, processed.entries):
+def test_process_pool_matches_serial_results():
+    serial = Session().fuse_many(_gallery(), jobs=1)
+    processed = Session().fuse_many(_gallery(), jobs=2)
+    assert processed.ok_count == serial.ok_count == 3
+    for t, p in zip(serial.entries, processed.entries):
         assert (t.name, t.status, t.strategy, t.parallelism) == (
             p.name, p.status, p.strategy, p.parallelism
         )
@@ -277,9 +316,7 @@ def test_process_pool_matches_thread_pool_results():
 
 def test_process_pool_reports_typed_errors():
     report = Session().fuse_many(
-        [("bad", "not a ( program"), ("good", figure2_code())],
-        jobs=2,
-        pool="process",
+        [("bad", "not a ( program"), ("good", figure2_code())], jobs=2
     )
     assert report.entry("good").ok
     bad = report.entry("bad")
@@ -287,8 +324,54 @@ def test_process_pool_reports_typed_errors():
 
 
 def test_unknown_pool_rejected():
-    with pytest.raises(ValueError, match="unknown pool"):
-        Session().fuse_many(_gallery(), pool="fiber")
+    # jobs alone picks the pool: no pool keyword is known any more
+    with pytest.raises(TypeError, match="pool"):
+        Session().fuse_many(_gallery(), pool="process")
+
+
+def _fail_in_worker(monkeypatch, name, fault):
+    """Make worker processes forked after this call run ``fault`` on the
+    request for ``name`` instead of compiling it."""
+    from repro.serve import worker as serve_worker
+
+    compile_request = serve_worker.compile_request
+
+    def patched(req):
+        if req.get("name") == name:
+            fault()
+        return compile_request(req)
+
+    monkeypatch.setattr(serve_worker, "compile_request", patched)
+
+
+def _restarts(reason):
+    return obs.default_registry().counter(f"serve.worker_restarts.{reason}").value
+
+
+def test_dead_worker_costs_only_its_own_entry(monkeypatch):
+    _fail_in_worker(monkeypatch, "doomed", lambda: os._exit(3))
+    before = _restarts("crash")
+    programs = _gallery() + [("doomed", figure2_code())] + _gallery()
+    # the deadline only bounds the test should a worker never answer
+    report = Session().fuse_many(programs, jobs=2, timeout_ms=60_000.0)
+    assert report.error_count == 1 and report.ok_count == 6
+    doomed = report.entry("doomed")
+    assert doomed.error["type"] == "EOFError" and doomed.error["code"] == "SV001"
+    assert _restarts("crash") == before + 1  # replaced, never retried
+
+
+def test_hung_worker_costs_only_its_own_entry(monkeypatch):
+    _fail_in_worker(monkeypatch, "stuck", lambda: time.sleep(60))
+    before = _restarts("hang")
+    children = set(multiprocessing.active_children())
+    programs = [("stuck", figure2_code())] + _gallery()
+    report = Session().fuse_many(programs, jobs=2, timeout_ms=200.0)
+    assert report.error_count == 1 and report.ok_count == 3
+    stuck = report.entry("stuck")
+    assert stuck.error["type"] == "TimeoutError" and stuck.error["code"] == "SV002"
+    assert _restarts("hang") == before + 1
+    # no worker, the replacement included, outlives the call
+    assert set(multiprocessing.active_children()) <= children
 
 
 # ---------------------------------------------------------------------- #
@@ -361,7 +444,7 @@ def test_cli_batch_timeout_ms_and_process_pool(tmp_path):
     p.write_text(figure2_code(), encoding="utf-8")
     code, text = _cli(
         ["batch", str(p), "--jobs", "2", "--timeout-ms", "60000",
-         "--batch-pool", "process", "--format", "json"]
+         "--format", "json"]
     )
     assert code == 0
     doc = json.loads(text)
@@ -380,6 +463,8 @@ def test_cli_batch_timeout_ms_and_process_pool(tmp_path):
     assert code2 == 1
     doc2 = json.loads(text2)
     assert doc2["programs"][0]["error"]["type"] == "BudgetExceededError"
+    # the pool is chosen by --jobs alone
+    assert _cli(["batch", str(p), "--batch-pool", "process"])[0] == 2
 
 
 def test_cli_exit_codes_are_intenum_members():

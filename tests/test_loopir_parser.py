@@ -284,11 +284,16 @@ class TestSpans:
         assert (err.value.line, err.value.col) == (line, col)
         assert str(err.value) == f"line {line}: {message}"
 
-    def test_fractional_offset_escapes_as_a_value_error(self):
-        # not a ParseError yet: int() of the number token raises before the
-        # parser can attach a position; pinned so the output stays as it was
-        with pytest.raises(ValueError, match="invalid literal for int"):
-            parse_program(_body("a[i][j] = b[i-1.5][j]"))
+    @pytest.mark.parametrize("statement, col", [
+        ("a[i][j] = b[i-1.5][j]", 19),
+        ("a[i][j] = b[i][j+0.5]", 22),
+        ("a[i+2.0][j] = 1", 9),
+    ], ids=["read-minus", "read-plus", "target"])
+    def test_fractional_offset_is_a_positioned_parse_error(self, statement, col):
+        with pytest.raises(ParseError) as err:
+            parse_program(_body(statement))
+        assert (err.value.line, err.value.col) == (3, col)
+        assert "subscript offset must be an integer" in str(err.value)
 
     @pytest.mark.parametrize(
         "statement, spans",
