@@ -287,8 +287,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="worker processes (default: the CPUs this process may run on, "
-        "at most one per file; 1 = compile in this process)",
+        help="worker processes, at most one per file (default: 1, "
+        "compile in this process)",
     )
     p_ba.add_argument(
         "--strategy",
@@ -313,7 +313,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="N",
-        help="per-program wall-clock budget in milliseconds",
+        help="wall-clock budget of the whole batch in milliseconds",
     )
     p_ba.add_argument(
         "--timeout-ms",

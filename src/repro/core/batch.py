@@ -1,7 +1,7 @@
 """Batch compilation: independent programs, in process or one per worker.
 
 :func:`run_batch` (the engine behind :meth:`Session.fuse_many` and
-``repro-fuse batch``) has two paths, chosen by ``jobs`` alone:
+``repro-fuse batch``) has two paths, chosen by ``jobs`` alone (default 1):
 
 * ``jobs == 1`` compiles the programs one after the other in this
   process, under the session: its caches, registry, budget and fault
@@ -14,7 +14,9 @@
   :class:`~repro.serve.supervisor.Supervisor` and sends each program to
   one as a ``repro-serve/1`` request with ``emit`` off, carrying the
   session's options and store path.  Its deadline is the smaller of
-  ``timeout_ms`` and what remains of the session budget's deadline.
+  ``timeout_ms`` and what remains of the session budget's deadline, whose
+  clock covers the whole batch as at ``jobs == 1``; a program whose
+  deadline is spent before it is sent fails with ``BudgetExceededError``.
   Node, edge and relaxation caps and a fault injector cannot cross the
   wire, so a session that has them raises :class:`ValueError`.  A worker
   that dies (``SV001``) or does not answer in time (``SV002``) is
@@ -29,7 +31,6 @@ schema ``repro-batch/1``) with text and JSON renderings.
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
 import time
 from collections import deque
@@ -44,7 +45,8 @@ from repro.lint.diagnostics import Diagnostic
 from repro.loopir import LoopNest
 from repro.loopir.printer import format_program
 from repro.serve.supervisor import Supervisor
-from repro.serve.wire import SV001, SV002, CompileRequest, error_payload
+from repro.resilience.budget import Budget, BudgetExceededError
+from repro.serve.wire import SV001, SV002, CompileRequest, WireError, error_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.session import Session
@@ -203,11 +205,12 @@ def _compile_one(
     try:
         budget = None
         if timeout_ms is not None:
-            from repro.resilience.budget import Budget
-
             budget = Budget(deadline_ms=timeout_ms).start()
         with _context.budget_scope(budget) if budget is not None else nullcontext():
-            with session._program_scope(tracer):
+            # the per-program tracer, when there is one, wins over the session's
+            with session.activate(), (
+                obs.overriding_tracer(tracer) if tracer is not None else nullcontext()
+            ):
                 with obs.trace_span("batch.program", program=entry.name):
                     if resilient:
                         out = session.fuse_program_resilient(source)
@@ -233,53 +236,60 @@ def _compile_one(
     return entry
 
 
-def _compile_in_worker(
+def _deadline_ms(budget: Any, timeout_ms: Optional[float]) -> Optional[float]:
+    """The smaller of ``timeout_ms`` and what remains of the session
+    budget's deadline; :class:`BudgetExceededError` once that is spent."""
+    limits = [] if timeout_ms is None else [(timeout_ms, 0.0)]
+    if budget is not None and budget.deadline_ms is not None:
+        limits.append((budget.deadline_ms, budget.elapsed_ms()))
+    if not limits:
+        return None
+    limit, used = min(limits, key=lambda lu: lu[0] - lu[1])
+    if limit - used <= 0:
+        raise BudgetExceededError("deadline-ms", limit, used, "batch dispatch")
+    return limit - used
+
+
+def _drain(
     supervisor: Supervisor,
-    entry: BatchEntry,
-    source: Union[str, LoopNest],
+    queue: deque[Tuple[BatchEntry, Union[str, LoopNest]]],
     wire: Dict[str, Any],
     budget: Any,
     timeout_ms: Optional[float],
 ) -> None:
-    """Compile one program on one worker: one ``Worker.call``, no retry."""
-    t0 = time.perf_counter()
-    try:
-        remaining = budget.remaining_ms() if budget is not None else None
-        deadlines = [d for d in (timeout_ms, remaining) if d is not None]
-        deadline = max(0.0, min(deadlines)) if deadlines else None
-        text = source if isinstance(source, str) else format_program(source)
-        req = CompileRequest(
-            source=text, name=entry.name, deadline_ms=deadline, emit=False, **wire
-        )
-        worker = supervisor.acquire(None)
+    """Compile the programs of ``queue`` until it is empty, each in one
+    call on one worker, without retry."""
+    while True:
         try:
-            resp = worker.call(
-                req.to_dict(),
-                None if deadline is None else deadline / 1000.0 + _REPLY_GRACE_S,
-            )
-        except (EOFError, TimeoutError) as exc:
-            died = isinstance(exc, EOFError)
-            supervisor.restart(worker, "crash" if died else "hang")
-            entry.status = "error"
-            entry.error = {**error_payload(exc), "code": SV001 if died else SV002}
+            entry, source = queue.popleft()
+        except IndexError:
             return
-        supervisor.release(worker)
-        entry.trace_id = resp.get("traceId")
-        entry.strategy = resp.get("strategy")
-        entry.rung = resp.get("rung")
-        entry.parallelism = resp.get("parallelism")
-        entry.notes = list(resp.get("notes") or [])
-        entry.diagnostics = [
-            Diagnostic.from_dict(d) for d in resp.get("diagnostics") or []
-        ]
-        if resp.get("status") != "ok":
-            entry.status = "error"
-            entry.error = resp.get("error")
-    except Exception as exc:  # a request the wire refuses, and the like
-        entry.status = "error"
-        entry.error = error_payload(exc)
-    finally:
-        entry.wall_ms = (time.perf_counter() - t0) * 1000.0
+        t0 = time.perf_counter()
+        try:
+            deadline = _deadline_ms(budget, timeout_ms)
+            text = source if isinstance(source, str) else format_program(source)
+            req = CompileRequest(
+                source=text, name=entry.name, deadline_ms=deadline, emit=False, **wire
+            )
+            wait_s = None if deadline is None else deadline / 1000.0 + _REPLY_GRACE_S
+            try:
+                resp = supervisor.call(supervisor.acquire(None), req.to_dict(), wait_s)
+            except (EOFError, TimeoutError, WireError) as exc:
+                # the supervisor replaced the worker; only this entry pays
+                entry.status = "error"
+                code = SV002 if isinstance(exc, TimeoutError) else SV001
+                entry.error = {**error_payload(exc), "code": code}
+                continue
+            entry.trace_id, entry.notes = resp.trace_id, list(resp.notes)
+            entry.strategy, entry.rung = resp.strategy, resp.rung
+            entry.parallelism = resp.parallelism
+            entry.diagnostics = [Diagnostic.from_dict(d) for d in resp.diagnostics]
+            if not resp.ok:
+                entry.status, entry.error = "error", resp.error
+        except Exception as exc:  # a request the wire refuses, a spent deadline
+            entry.status, entry.error = "error", error_payload(exc)
+        finally:
+            entry.wall_ms = (time.perf_counter() - t0) * 1000.0
 
 
 def _run_on_workers(
@@ -307,22 +317,14 @@ def _run_on_workers(
         store_path=store.path if store is not None else None,
     )
     queue = deque(work)
-
-    def drain(supervisor: Supervisor) -> None:
-        while True:
-            try:
-                entry, source = queue.popleft()
-            except IndexError:
-                return
-            _compile_in_worker(supervisor, entry, source, wire, budget, timeout_ms)
-
     # forked before any pipeline code of this call runs, and in an empty
     # context, so no scope of the caller leaks into the workers
     with contextvars.Context().run(Supervisor, jobs) as supervisor:
-        threads = [
-            threading.Thread(target=drain, args=(supervisor,), name="repro-batch")
-            for _ in range(jobs)
-        ]
+        if budget is not None:
+            # one clock for the whole batch, as at jobs=1 (first start wins)
+            budget.start()
+        args = (supervisor, queue, wire, budget, timeout_ms)
+        threads = [threading.Thread(target=_drain, args=args) for _ in range(jobs)]
         for t in threads:
             t.start()
         for t in threads:
@@ -345,16 +347,15 @@ def run_batch(
     ``(name, source)`` pairs; ``names`` labels positional items.  Entries
     come back in input order regardless of completion order.
 
-    ``jobs`` defaults to the number of CPUs this process may run on,
-    capped at the number of programs.  ``timeout_ms`` gives each program
-    its own deadline (in process through
+    ``jobs`` defaults to 1: workers cost a fork each and a round trip
+    per program, and on small batches or small programs they lose to the
+    in-process loop (docs/PERFORMANCE.md).  ``timeout_ms`` gives each
+    program its own deadline (in process through
     :func:`repro.core.context.budget_scope`, so the shared session is
     never mutated).
     """
     work = _work(programs, names)
-    if jobs is None:
-        jobs = min(len(os.sched_getaffinity(0)), len(work))
-    jobs = max(1, int(jobs))
+    jobs = 1 if jobs is None else max(1, int(jobs))
     budget = session.effective_budget
     if jobs > 1 and (
         (budget is not None and budget.is_work_limiting)

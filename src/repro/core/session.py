@@ -89,8 +89,8 @@ class SessionOptions:
     #: Degradation-ladder variant: a :data:`LADDER_VARIANTS` name, an
     #: explicit tuple of rung labels, or ``None`` for the built-in descent.
     ladder: Optional[Union[str, Sequence[str]]] = None
-    #: Default worker count for :meth:`Session.fuse_many` (``None``: the
-    #: CPUs this process may run on, capped at the number of programs).
+    #: Default worker count for :meth:`Session.fuse_many` (``None``: 1,
+    #: compile in this process).
     jobs: Optional[int] = None
     #: Execution backend for :meth:`Session.execute_fused`
     #: (:mod:`repro.core.backends`: interp / compiled / numpy, or
@@ -280,20 +280,6 @@ class Session:
             self._enter_injection(stack)
             yield self
 
-    @contextmanager
-    def _program_scope(self, tracer: Optional[obs.Tracer]) -> Iterator[None]:
-        """Scope for one in-process batch program: the session plus an
-        optional per-program tracer that wins over the session tracer."""
-        with ExitStack() as stack:
-            stack.enter_context(_context.session_scope(self))
-            if self.registry is not None:
-                stack.enter_context(obs.overriding_registry(self.registry))
-            effective = tracer if tracer is not None else self.tracer
-            if effective is not None:
-                stack.enter_context(obs.overriding_tracer(effective))
-            self._enter_injection(stack)
-            yield
-
     def _enter_injection(self, stack: ExitStack) -> None:
         """Enter the session's fault injector, if any (thread-local)."""
         if self.options.injector is not None:
@@ -396,8 +382,8 @@ class Session:
     ) -> "BatchReport":
         """Compile independent programs; see :mod:`repro.core.batch`.
 
-        ``jobs=1`` compiles in this process under the session; more jobs
-        compile each program on a forked worker process over the
+        ``jobs=1`` (the default) compiles in this process under the
+        session; more jobs compile each program on a forked worker over the
         ``repro-serve/1`` envelopes.  ``timeout_ms`` gives each program
         its own deadline.
         """

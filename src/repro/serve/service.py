@@ -280,14 +280,13 @@ class CompileService:
             wire = self._wire(req, attempts - 1, remaining)
             # one request per worker: whatever goes wrong on it is this
             # request's doing, so each fault restarts only this worker
-            # and charges this request's class
+            # (Supervisor.call does) and charges this request's class
             try:
-                resp = CompileResponse.from_dict(worker.call(wire, _seconds(remaining)))
+                resp = self.supervisor.call(worker, wire, _seconds(remaining))
             except EOFError:
                 crashes += 1
                 reg.counter("serve.worker_crashes").inc()
                 last_code = SV001
-                self.supervisor.restart(worker, "crash")
                 self.breaker.record_failure(key)
                 if attempts < self.config.max_attempts:
                     reg.counter("serve.retries").inc()
@@ -297,7 +296,6 @@ class CompileService:
                 timeouts += 1
                 reg.counter("serve.timeouts").inc()
                 last_code = SV002
-                self.supervisor.restart(worker, "hang")
                 self.breaker.record_failure(key)
                 break  # the deadline is spent: on to the fallback
             except WireError:
@@ -305,10 +303,8 @@ class CompileService:
                 crashes += 1
                 reg.counter("serve.worker_crashes").inc()
                 last_code = SV001
-                self.supervisor.restart(worker, "babble")
                 self.breaker.record_failure(key)
                 continue
-            self.supervisor.release(worker)
             # a well-formed worker response -- the infrastructure is fine,
             # whatever the compile outcome was
             self.breaker.record_success(key)

@@ -3,8 +3,8 @@
 :class:`Supervisor` forks ``workers`` :class:`multiprocessing.Process`
 workers, each running :func:`repro.serve.worker.serve` on its own
 :func:`~multiprocessing.Pipe`.  Idle workers sit in a queue; a request
-takes one (:meth:`Supervisor.acquire`), runs exactly one call on it
-(:meth:`Worker.call`) and hands it back (:meth:`Supervisor.release`).
+takes one (:meth:`Supervisor.acquire`) and runs exactly one call on it
+(:meth:`Supervisor.call`), which hands it back or replaces it.
 
 Because a worker carries one request at a time, a worker that dies or
 hangs has exactly one request to blame and nobody else to disturb: the
@@ -34,6 +34,7 @@ from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro import obs
 from repro.serve import worker as serve_worker
+from repro.serve.wire import CompileResponse, WireError
 
 __all__ = ["Supervisor", "Worker"]
 
@@ -106,6 +107,27 @@ class Supervisor:
         with self._cond:
             self._idle.append(worker)
             self._cond.notify_all()
+
+    def call(
+        self, worker: Worker, payload: Dict[str, Any], timeout_s: Optional[float]
+    ) -> CompileResponse:
+        """One request on an acquired ``worker``: its well-formed reply,
+        after which the worker is idle again.  On any fault the worker is
+        restarted and the error re-raised: :class:`EOFError` (``crash``),
+        :class:`TimeoutError` (``hang``), :class:`WireError` (a malformed
+        reply: ``babble``) or whatever else the call raised (``crash``)."""
+        try:
+            resp = CompileResponse.from_dict(worker.call(payload, timeout_s))
+            if not resp.well_formed:
+                raise WireError(f"malformed {resp.status!r} reply")
+        except BaseException as exc:
+            reason = "hang" if isinstance(exc, TimeoutError) else (
+                "babble" if isinstance(exc, WireError) else "crash"
+            )
+            self.restart(worker, reason)
+            raise
+        self.release(worker)
+        return resp
 
     def restart(self, worker: Worker, reason: str) -> None:
         """SIGKILL ``worker``, fork its replacement and queue it as idle.

@@ -66,12 +66,16 @@ def test_serial_and_parallel_batches_are_equivalent():
 
 
 def test_batch_default_preserved():
-    # the CPUs this process may run on, capped at the number of programs
-    cpus = len(os.sched_getaffinity(0))
-    assert Session().fuse_many(_gallery()).jobs == min(cpus, 3)
-    assert Session().fuse_many(_gallery()[:1]).jobs == 1
-    # the session's own default wins over the CPU count
-    assert Session(options=SessionOptions(jobs=1)).fuse_many(_gallery()).jobs == 1
+    from repro.resilience.budget import Budget
+
+    # in process unless asked: workers lose on small batches
+    assert Session().fuse_many(_gallery()).jobs == 1
+    # the session's own default wins
+    assert Session(options=SessionOptions(jobs=2)).fuse_many(_gallery()).jobs == 2
+    # a capped session works by default, whatever the host's CPU count
+    capped = Session(budget=Budget(max_nodes=1)).fuse_many(_gallery())
+    assert capped.jobs == 1 and capped.error_count == 3
+    assert all(e.error["type"] == "BudgetExceededError" for e in capped.entries)
 
 
 def test_fuse_many_resilient():
@@ -233,6 +237,53 @@ def test_session_deadline_reaches_worker_processes():
         )
 
 
+def _slow_workers(monkeypatch, seconds):
+    """Make worker processes forked after this call wait ``seconds``
+    before each compile (whose own deadline clock starts after it)."""
+    from repro.serve import worker as serve_worker
+
+    compile_request = serve_worker.compile_request
+
+    def patched(req):
+        time.sleep(seconds)
+        return compile_request(req)
+
+    monkeypatch.setattr(serve_worker, "compile_request", patched)
+
+
+def test_session_deadline_runs_out_partway_through_a_worker_batch(monkeypatch):
+    from repro.resilience.budget import Budget
+
+    _slow_workers(monkeypatch, 0.2)
+    programs = [(f"p{k}", figure2_code()) for k in range(8)]
+    # 2 workers, 0.2 s a program: 4 rounds, the last from 0.6 s on
+    session = Session(budget=Budget(deadline_ms=500.0))
+    report = session.fuse_many(programs, jobs=2)
+    assert [e.ok for e in report.entries[:2]] == [True, True]
+    late = report.entries[-2:]
+    assert all(e.error["type"] == "BudgetExceededError" for e in late)
+    # a spent deadline is charged before the send, never in a worker
+    assert all(e.wall_ms < 150.0 for e in late)
+    assert all(
+        e.ok or e.error["type"] == "BudgetExceededError" for e in report.entries
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_spent_session_deadline_fails_every_program(jobs):
+    from repro.perf.memo import clear_all_caches
+    from repro.resilience.budget import Budget
+
+    clear_all_caches()
+    budget = Budget(deadline_ms=1.0).start()
+    time.sleep(0.01)
+    report = Session(budget=budget).fuse_many(_gallery(), jobs=jobs)
+    assert report.error_count == 3
+    assert all(
+        e.error["type"] == "BudgetExceededError" for e in report.entries
+    )
+
+
 def test_trace_ids_survive_worker_exceptions():
     """Regression: an exception whose own __str__ raises must neither
     sink the batch nor cost the entry its trace id."""
@@ -358,6 +409,28 @@ def test_dead_worker_costs_only_its_own_entry(monkeypatch):
     doomed = report.entry("doomed")
     assert doomed.error["type"] == "EOFError" and doomed.error["code"] == "SV001"
     assert _restarts("crash") == before + 1  # replaced, never retried
+
+
+@pytest.mark.parametrize(
+    "reply", [{"status": "error"}, "not a response"], ids=["no-error", "no-dict"]
+)
+def test_malformed_reply_costs_only_its_own_entry(monkeypatch, reply):
+    from repro.serve import worker as serve_worker
+
+    compile_request = serve_worker.compile_request
+    monkeypatch.setattr(
+        serve_worker,
+        "compile_request",
+        lambda req: reply if req.get("name") == "babbler" else compile_request(req),
+    )
+    before = _restarts("babble")
+    programs = _gallery() + [("babbler", figure2_code())] + _gallery()
+    report = Session().fuse_many(programs, jobs=2, timeout_ms=60_000.0)
+    assert report.error_count == 1 and report.ok_count == 6
+    babbler = report.entry("babbler")
+    assert babbler.error["type"] == "WireError"
+    assert babbler.error["code"] == "SV001"
+    assert _restarts("babble") == before + 1
 
 
 def test_hung_worker_costs_only_its_own_entry(monkeypatch):

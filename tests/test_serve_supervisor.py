@@ -71,6 +71,23 @@ class TestSupervisor:
         assert after[slot] != before[slot]
         assert after[1 - slot] == before[1 - slot]
 
+    def test_supervisor_call_releases_after_a_reply(self, supervisor):
+        resp = supervisor.call(supervisor.acquire(30.0), _wire(), 30.0)
+        assert resp.ok and resp.strategy is not None
+        assert None not in (supervisor.acquire(0.05), supervisor.acquire(0.05))
+        assert supervisor.restarts == 0
+
+    def test_supervisor_call_replaces_the_worker_on_any_fault(self, supervisor):
+        before = supervisor.pids()
+        worker = supervisor.acquire(30.0)
+        with pytest.raises(Exception):  # the payload cannot be pickled
+            supervisor.call(worker, {"source": lambda: None}, 30.0)
+        assert supervisor.restarts == 1
+        slot = before.index(worker.proc.pid)
+        assert supervisor.pids()[slot] != before[slot]
+        # the slot is back: a lost worker never shrinks the pool
+        assert None not in (supervisor.acquire(0.05), supervisor.acquire(0.05))
+
     def test_shutdown_rejects_new_work(self, supervisor):
         workers = [supervisor.acquire(30.0), supervisor.acquire(30.0)]
         supervisor.shutdown()
