@@ -19,9 +19,10 @@
   deadline is spent before it is sent fails with ``BudgetExceededError``.
   Node, edge and relaxation caps and a fault injector cannot cross the
   wire, so a session that has them raises :class:`ValueError`.  A worker
-  that dies (``SV001``) or does not answer in time (``SV002``) is
-  replaced and costs only its own entry.  Pass counters, diagnostics and
-  spans stay in the workers; an entry's trace id is its worker's.
+  that dies or sends a malformed reply (``SV001``), or does not answer
+  in time (``SV002``), is replaced and costs only its own entry.  Pass
+  counters, diagnostics and spans stay in the workers; an entry's trace
+  id is its worker's.
 
 One failed program never aborts the batch: its typed error is recorded
 and the batch continues.  The aggregate is a :class:`BatchReport` (JSON
@@ -44,8 +45,8 @@ from repro.fusion.driver import Strategy
 from repro.lint.diagnostics import Diagnostic
 from repro.loopir import LoopNest
 from repro.loopir.printer import format_program
-from repro.serve.supervisor import Supervisor
 from repro.resilience.budget import Budget, BudgetExceededError
+from repro.serve.supervisor import Supervisor
 from repro.serve.wire import SV001, SV002, CompileRequest, WireError, error_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
