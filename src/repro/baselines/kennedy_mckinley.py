@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
+from repro.graph.algorithms import CycleError, topological_sort
 from repro.graph.legality import VectorClass, classify_vector
 from repro.graph.mldg import MLDG
 
@@ -70,8 +69,7 @@ def typed_fusion(g: MLDG, *, preserve_parallelism: bool = False) -> TypedFusionO
     is cyclic (then no loop-sequence execution order exists at all -- such
     graphs, like the paper's Figure 14, are beyond this baseline entirely).
     """
-    order_graph = nx.DiGraph()
-    order_graph.add_nodes_from(g.nodes)
+    order_graph: Dict[str, List[str]] = {node: [] for node in g.nodes}
     splitting: Dict[Tuple[str, str], bool] = {}
     for e in g.edges():
         zero_first = [d for d in e.vectors if d[0] == 0]
@@ -82,7 +80,7 @@ def typed_fusion(g: MLDG, *, preserve_parallelism: bool = False) -> TypedFusionO
                 f"self-dependence {e.src} within one outer iteration: "
                 "not a valid loop sequence"
             )
-        order_graph.add_edge(e.src, e.dst)
+        order_graph[e.src].append(e.dst)
         split = any(
             classify_vector(d) == VectorClass.FUSION_PREVENTING for d in zero_first
         )
@@ -90,20 +88,21 @@ def typed_fusion(g: MLDG, *, preserve_parallelism: bool = False) -> TypedFusionO
             split = split or any(d[1] != 0 for d in zero_first)
         splitting[(e.src, e.dst)] = split
 
-    if not nx.is_directed_acyclic_graph(order_graph):
+    try:
+        order = topological_sort(order_graph)
+    except CycleError:
         raise ValueError(
             "same-outer-iteration dependencies are cyclic: no sequential "
             "loop order exists for this MLDG"
-        )
+        ) from None
 
-    pos = {node: k for k, node in enumerate(g.nodes)}
-    group_of: Dict[str, int] = {}
-    for node in nx.lexicographical_topological_sort(order_graph, key=pos.get):
-        level = 0
-        for pred in order_graph.predecessors(node):
-            bump = 1 if splitting[(pred, node)] else 0
-            level = max(level, group_of[pred] + bump)
-        group_of[node] = level
+    # a node's group is final once its predecessors, all earlier in
+    # ``order``, have pushed their levels onto it
+    group_of = dict.fromkeys(g.nodes, 0)
+    for node in order:
+        for succ in order_graph[node]:
+            bump = 1 if splitting[(node, succ)] else 0
+            group_of[succ] = max(group_of[succ], group_of[node] + bump)
 
     num_groups = max(group_of.values(), default=0) + 1
     members: List[List[str]] = [[] for _ in range(num_groups)]

@@ -24,9 +24,10 @@ alignment system) -- those inputs report failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.constraints import InfeasibleSystemError, ScalarConstraintSystem
+from repro.graph.algorithms import digraph, find_cycle
 from repro.graph.mldg import MLDG
 
 __all__ = ["ShiftAndPeelOutcome", "shift_and_peel"]
@@ -72,11 +73,8 @@ def shift_and_peel(g: MLDG) -> ShiftAndPeelOutcome:
     normalised to be non-negative and minimal.  Outermost-carried
     dependencies are unaffected by inner shifting and impose nothing.
     """
-    import networkx as nx
-
     system = ScalarConstraintSystem(g.nodes)
-    same_iter = nx.DiGraph()
-    same_iter.add_nodes_from(g.nodes)
+    same_iter: List[Tuple[str, str]] = []
     constrained = False
     for e in g.edges():
         for d in e.vectors:
@@ -89,11 +87,11 @@ def shift_and_peel(g: MLDG) -> ShiftAndPeelOutcome:
                     )
                 # need: d[1] + s_dst - s_src >= 0  <=>  s_src - s_dst <= d[1]
                 system.add_leq(e.dst, e.src, d[1])
-                same_iter.add_edge(e.src, e.dst)
+                same_iter.append((e.src, e.dst))
                 constrained = True
 
-    if not nx.is_directed_acyclic_graph(same_iter):
-        cyc = [u for (u, _v) in nx.find_cycle(same_iter)]
+    cyc = find_cycle(digraph(g.nodes, same_iter))
+    if cyc is not None:
         return ShiftAndPeelOutcome(
             legal=False,
             shifts={},

@@ -65,7 +65,6 @@ from repro.formats import DOT, JSON, SARIF, TEXT, add_format_argument
 from repro.fusion import FusionError, Strategy, fuse
 from repro.graph import mldg_to_dot, mldg_to_json
 from repro.loopir import ParseError, ValidationError, parse_program
-from repro.machine import profile_fusion, unfused_profile
 from repro.obs import TRACE_FORMATS
 from repro.resilience.budget import BudgetExceededError as _BudgetExceededError
 
@@ -573,14 +572,15 @@ def _report_fusion(
             hits_text = ", ".join(f"{h:.2f}" for h in hits)
             print(f"  {shape:>8}: {mean:9.1f} / {worst:6d} / {hits_text}")
     if nest is not None and compile_kernel:
-        from repro.codegen import apply_fusion as _apply
         from repro.codegen.pycompile import compile_fused
 
-        fused = _apply(nest, result.retiming, mldg=result.original)
+        fused = apply_fusion(nest, result.retiming, mldg=result.original)
         print()
         print("# compiled Python/numpy kernel")
         print(compile_fused(fused).source)
     if profile:
+        from repro.machine import profile_fusion, unfused_profile
+
         try:
             n, m, p = (int(x) for x in profile.split(","))
         except ValueError:

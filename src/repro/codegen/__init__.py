@@ -13,17 +13,35 @@ Turns a loop nest plus a fusion result into:
   verification in :mod:`repro.verify`.
 """
 
+from importlib import import_module
+
 from repro.codegen.fused import DeadlockError, FusedProgram, FusedNode, apply_fusion
 from repro.codegen.emit import emit_fused_program
-from repro.codegen.interp import (
-    ArrayStore,
-    ExecutionOrderError,
-    run_fused,
-    run_original,
-)
-from repro.codegen.nplower import LoweringPlan, compile_numpy, plan_lowering
-from repro.codegen.pycompile import CompiledKernel, compile_fused, compile_original
 from repro.codegen.wavefront import emit_wavefront_program, wavefront_iterations
+
+# The executors need numpy; they load on first use (PEP 562), so fusing and
+# emitting code imports no array library.
+_EXECUTORS = {
+    "ArrayStore": "interp",
+    "ExecutionOrderError": "interp",
+    "run_fused": "interp",
+    "run_original": "interp",
+    "LoweringPlan": "nplower",
+    "compile_numpy": "nplower",
+    "plan_lowering": "nplower",
+    "CompiledKernel": "pycompile",
+    "compile_fused": "pycompile",
+    "compile_original": "pycompile",
+}
+
+
+def __getattr__(name: str):
+    module = _EXECUTORS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
 
 __all__ = [
     "compile_original",

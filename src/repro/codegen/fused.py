@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import networkx as nx
-
 from repro.depend.extract import extract_mldg
+from repro.graph.algorithms import CycleError, digraph, topological_sort
 from repro.graph.mldg import MLDG
 from repro.loopir.ast_nodes import Assignment, LoopNest
 from repro.retiming import Retiming
@@ -116,17 +115,14 @@ class FusedProgram:
 def _zero_dependence_order(g_retimed: MLDG, program_order: List[str]) -> List[str]:
     """Topologically order nodes by retimed zero-vector dependencies."""
     zero = IVec.zero(g_retimed.dim)
-    order_graph = nx.DiGraph()
-    order_graph.add_nodes_from(program_order)
-    for e in g_retimed.edges():
-        if e.src != e.dst and zero in e.vectors:
-            order_graph.add_edge(e.src, e.dst)
+    order_graph = digraph(
+        program_order,
+        ((e.src, e.dst) for e in g_retimed.edges() if e.src != e.dst and zero in e.vectors),
+    )
     try:
-        pos = {name: k for k, name in enumerate(program_order)}
-        return list(nx.lexicographical_topological_sort(order_graph, key=pos.get))
-    except nx.NetworkXUnfeasible as exc:
-        cycle_edges = nx.find_cycle(order_graph)
-        raise DeadlockError([u for (u, _v) in cycle_edges]) from exc
+        return topological_sort(order_graph)
+    except CycleError as exc:
+        raise DeadlockError(exc.cycle) from exc
 
 
 def apply_fusion(

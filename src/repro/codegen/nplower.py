@@ -54,8 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro import obs
 from repro.codegen.fused import FusedProgram
 from repro.codegen.pycompile import (
@@ -70,6 +68,7 @@ from repro.codegen.pycompile import (
     _var,
 )
 from repro.codegen.interp import ArrayStore
+from repro.graph.algorithms import condensation_order, digraph
 from repro.loopir.ast_nodes import ArrayRef, Assignment
 from repro.vectors import IVec
 
@@ -286,18 +285,9 @@ def plan_lowering(
     flat = _flatten(fp)
     edges = _statement_edges(flat)
 
-    g = nx.DiGraph()
-    g.add_nodes_from(fs.index for fs in flat)
-    for e in edges:
-        g.add_edge(e.producer, e.consumer)
-    cond = nx.condensation(g)
-    order = nx.lexicographical_topological_sort(
-        cond, key=lambda scc: min(cond.nodes[scc]["members"])
-    )
-
+    g = digraph((fs.index for fs in flat), ((e.producer, e.consumer) for e in edges))
     stages: List[LoweredStage] = []
-    for scc in order:
-        members = sorted(cond.nodes[scc]["members"])
+    for members in condensation_order(g):
         internal = [
             e for e in edges if e.producer in members and e.consumer in members
         ]

@@ -149,14 +149,20 @@ def _round_based(
     top: W,
     cap: Optional[int],
     budget: Optional[Budget],
+    spent: int = 0,
 ) -> BellmanFordResult[Node, W]:
-    """The classic ``|V| - 1`` full-sweep formulation (reference + certifier)."""
+    """The classic ``|V| - 1`` full-sweep formulation (reference + certifier).
+
+    ``spent`` rounds were already charged against ``cap`` by the caller
+    (the worklist, before it hands over certificate extraction), and the
+    result counts them too.
+    """
     dist: Dict[Node, W] = {v: top for v in nodes}
     pred: Dict[Node, Optional[Node]] = {v: None for v in nodes}
     dist[source] = zero
 
     n = len(nodes)
-    rounds = 0
+    rounds = spent
     stabilized = False
     for _round in range(n - 1):
         if cap is not None and rounds >= cap:
@@ -264,10 +270,12 @@ def _slf_worklist(
                     # and the repeated cycle must be negative (otherwise its
                     # removal would give an equal-or-better shorter walk) --
                     # infeasibility is certain.  Run the classic pass to
-                    # extract the very certificate it has always reported.
+                    # extract the very certificate it has always reported,
+                    # within the rounds the cap has left.
                     return _round_based(
                         nodes, edges, source,
-                        zero=zero, top=top, cap=None, budget=budget,
+                        zero=zero, top=top, cap=cap, budget=budget,
+                        spent=-(-pops // n_eff),
                     )
                 if v not in queued:
                     # smallest-label-first: promising vertices jump the queue

@@ -12,6 +12,7 @@ Public surface:
 * :class:`~repro.graph.edges.DependenceEdge` -- one edge with its vector set;
 * :mod:`~repro.graph.legality` -- legality predicates (Lemma 2.1, Thm 3.1);
 * :mod:`~repro.graph.analysis` -- cycles, SCCs, topological order;
+* :mod:`~repro.graph.algorithms` -- the digraph routines under them;
 * :mod:`~repro.graph.builders` -- convenient construction helpers;
 * :mod:`~repro.graph.random_gen` -- random legal MLDG generators;
 * :mod:`~repro.graph.serialization` -- JSON and Graphviz DOT round-trips.
@@ -35,7 +36,6 @@ from repro.graph.legality import (
     lemma_2_1_holds,
 )
 from repro.graph.analysis import (
-    condensation_order,
     cycle_weight,
     enumerate_cycles,
     is_acyclic,
@@ -72,7 +72,6 @@ __all__ = [
     "is_acyclic",
     "strongly_connected_components",
     "topological_order",
-    "condensation_order",
     "mldg_from_table",
     "GraphStats",
     "mldg_stats",

@@ -62,8 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.constraints import InfeasibleSystemError, VectorConstraintSystem
 from repro.graph.analysis import canonical_cycle, cycle_weight, enumerate_cycles
 from repro.graph.edges import DependenceEdge
@@ -219,11 +217,10 @@ def zero_weight_cycle(
     # Retiming shifts every vector of an edge by the same r(u) - r(v), which
     # keeps their lexicographic order: the retimed delta is delta + r(u) - r(v).
     zero = IVec.zero(g.dim)
-    zero_graph = nx.DiGraph()
-    zero_graph.add_nodes_from(g.nodes)
+    zero_graph: Dict[str, List[str]] = {n: [] for n in g.nodes}
     for e in g.edges():
         if e.delta + solution.get(e.src, zero) - solution.get(e.dst, zero) == zero:
-            zero_graph.add_edge(e.src, e.dst)
+            zero_graph[e.src].append(e.dst)
     return canonical_cycle(zero_graph, g.nodes)
 
 

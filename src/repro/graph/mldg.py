@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro.graph.edges import DependenceEdge
 from repro.vectors import IVec
 
@@ -228,21 +226,14 @@ class MLDG:
     # views
     # ------------------------------------------------------------------ #
 
-    def to_networkx(self) -> "nx.MultiDiGraph":
-        """A networkx view with ``delta``/``vectors``/``hard`` edge attributes."""
-        g = nx.MultiDiGraph()
-        for n in self._nodes:
-            g.add_node(n, order=self._node_index[n])
-        for e in self.edges():
-            g.add_edge(e.src, e.dst, delta=e.delta, vectors=e.vectors, hard=e.is_hard)
-        return g
-
-    def structure_digraph(self) -> "nx.DiGraph":
-        """A plain digraph of the edge relation (for cycle/SCC analysis)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self._nodes)
-        g.add_edges_from(self._edges.keys())
-        return g
+    def structure_digraph(self) -> Dict[str, List[str]]:
+        """The edge relation as an adjacency dict for
+        :mod:`repro.graph.algorithms`: nodes in program order, each node's
+        successors in edge order."""
+        succ: Dict[str, List[str]] = {n: [] for n in self._nodes}
+        for src, dst in self._edges:
+            succ[src].append(dst)
+        return succ
 
     # ------------------------------------------------------------------ #
     # equality / display

@@ -199,19 +199,24 @@ def platform_block() -> Dict[str, Any]:
     """The ``platform`` object stamped into benchmark documents.
 
     Includes the array/graph library versions (``numpy``, ``networkx``):
-    perf trajectories are uninterpretable without them.
+    perf trajectories are uninterpretable without them.  networkx is only
+    a test dependency, so a runtime without it reports ``"absent"``.
     """
     import os
+    from importlib import metadata
 
-    import networkx
     import numpy
 
+    try:
+        networkx = metadata.version("networkx")
+    except metadata.PackageNotFoundError:
+        networkx = "absent"
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpuCount": os.cpu_count(),
         "numpy": numpy.__version__,
-        "networkx": networkx.__version__,
+        "networkx": networkx,
     }
 
 

@@ -138,6 +138,11 @@ class CompileService:
                 f"unknown execution backend {self.config.backend!r}; "
                 f"known: {list(backend_names()) + ['auto']}"
             )
+        # A resilient compile runs the executors: load them, numpy with
+        # them, before forking, so each worker and each replacement
+        # inherits them instead of importing numpy on its first request.
+        import repro.resilience.pipeline  # noqa: F401
+
         # forked here, before any HTTP thread exists
         self.supervisor = Supervisor(
             self.config.workers, allow_faults=self.config.allow_faults

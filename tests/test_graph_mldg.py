@@ -139,16 +139,9 @@ class TestTransforms:
 
 
 class TestViews:
-    def test_networkx_view(self, simple):
-        nxg = simple.to_networkx()
-        assert set(nxg.nodes) == {"A", "B", "C"}
-        attrs = list(nxg.get_edge_data("B", "C").values())[0]
-        assert attrs["hard"] is True
-        assert attrs["delta"] == IVec(0, -2)
-
     def test_structure_digraph(self, simple):
-        dg = simple.structure_digraph()
-        assert set(dg.edges) == {("A", "B"), ("B", "C")}
+        assert simple.structure_digraph() == {"A": ["B"], "B": ["C"], "C": []}
+        assert tuple(simple.structure_digraph()) == simple.nodes
 
     def test_equality(self, simple):
         other = mldg_from_table(

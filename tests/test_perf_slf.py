@@ -135,6 +135,21 @@ class TestBudgets:
         result = scalar_bellman_ford(nodes, edges, "s", max_rounds=1_000_000)
         assert not result.feasible
 
+    def test_certificate_pass_stays_within_the_cap(self):
+        # the worklist proves the 2-cycle negative within two rounds, but
+        # the classic certificate pass never stabilises on it and sweeps
+        # |V| - 1 = 11 rounds: a cap of 5 covers the first, not both
+        nodes = ["s", "a", "b"] + [f"x{i}" for i in range(9)]
+        edges = [("s", "a", 0), ("a", "b", -1), ("b", "a", -1)]
+        uncapped = scalar_bellman_ford(nodes, edges, "s")
+        assert uncapped.negative_cycle is not None
+        with pytest.raises(BudgetExceededError) as exc:
+            scalar_bellman_ford(nodes, edges, "s", budget=Budget(max_relaxation_rounds=5))
+        assert (exc.value.resource, exc.value.limit) == ("relaxation-rounds", 5)
+        enough = scalar_bellman_ford(nodes, edges, "s", max_rounds=20)
+        assert enough.negative_cycle == uncapped.negative_cycle
+        assert enough.rounds <= 20
+
 
 class TestWorklistBehaviour:
     def test_worklist_rounds_are_near_constant_on_benign_chains(self):

@@ -53,3 +53,17 @@ def test_platform_block_records_library_versions():
     assert block["numpy"] == numpy.__version__
     assert block["networkx"] == networkx.__version__
     assert "python" in block and "cpuCount" in block
+
+
+def test_platform_block_reports_an_uninstalled_networkx_as_absent(monkeypatch):
+    from importlib import metadata
+
+    real = metadata.version
+
+    def version(name):
+        if name == "networkx":
+            raise metadata.PackageNotFoundError(name)
+        return real(name)
+
+    monkeypatch.setattr(metadata, "version", version)
+    assert platform_block()["networkx"] == "absent"
